@@ -1,6 +1,7 @@
-//! Benchmarks of the live-prototype relay hot path (see `DESIGN.md`
-//! "Streaming bodies & vectored I/O" and `BENCH_simnet.json` for the
-//! tracked before/after numbers).
+//! Micro-benchmarks of the live-prototype relay hot path (see
+//! `DESIGN.md` "Streaming bodies & vectored I/O"; the end-to-end relay
+//! numbers are the repository benchmark's `relay_down` and `relay_up`
+//! workloads, `bash benchmark/run.sh`).
 //!
 //! Two directions through an unthrottled virtual-net device proxy:
 //! - `segment_relay`: 4 × 2 MB GET bodies, origin → device → client —
@@ -11,8 +12,7 @@
 //!   device → origin, committed and verified at the origin.
 //!
 //! Each iteration builds its whole household slice from scratch, so
-//! the numbers include connection setup — same shape as the tracked
-//! `proxy_throughput_*` rows in `bench_summary`.
+//! the numbers include connection setup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -1,5 +1,7 @@
-//! Benchmarks of the reworked simnet hot path (see `DESIGN.md` §7 and
-//! `BENCH_simnet.json` for the tracked before/after numbers).
+//! Micro-benchmarks of the reworked simnet hot path (see `DESIGN.md` §8;
+//! end-to-end numbers come from the repository benchmark,
+//! `bash benchmark/run.sh`, whose `sim_sweep` workload covers the
+//! simulator).
 //!
 //! Four angles:
 //! - `solver`: the allocating reference oracle vs the scratch-backed
@@ -115,11 +117,9 @@ fn bench_components(c: &mut Criterion) {
 }
 
 /// One fleet run with churn: every link carries two finite flows and
-/// each completion immediately starts a replacement on the same link.
-/// Mirrors `bench_summary`'s `fleet_1k_homes` workload (which tracks
-/// the full 5-simulated-second numbers in `BENCH_simnet.json`) at a
-/// criterion-friendly horizon.
-fn run_fleet(n_homes: usize, horizon_secs: f64) -> u64 {
+/// each completion immediately starts a replacement on the same link,
+/// at a criterion-friendly horizon.
+fn run_churn_fleet(n_homes: usize, horizon_secs: f64) -> u64 {
     let mut sim = Simulation::new();
     let mut links = Vec::with_capacity(n_homes * 3);
     for h in 0..n_homes as u64 {
@@ -166,7 +166,7 @@ fn bench_fleet(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(5));
     group.bench_function("fleet_1k_homes_2s", |b| {
-        b.iter(|| std::hint::black_box(run_fleet(1000, 2.0)))
+        b.iter(|| std::hint::black_box(run_churn_fleet(1000, 2.0)))
     });
     group.finish();
 }

@@ -14,6 +14,10 @@
 //!     [homes] [workers] [chunk] [--cells N] [--scenario week|DAYS] [--seed S]
 //! ```
 //!
+//! A fourth positional argument or an unknown `--flag` exits 2 with a
+//! usage line. The last two lines of a run, `… report digest <hex>` and
+//! `peak RSS <x> MiB`, are what the repository benchmark parses.
+//!
 //! With `--cells N` the homes share `N` 3G cells through the
 //! fixed-point cellular coupling (paper §6 / Fig 11): the fleet runs
 //! repeatedly, each pass's per-cell onload feeding back as the next
@@ -30,20 +34,31 @@
 //! modes. `--seed S` reseeds the whole street.
 
 use threegol_bench::fleet::{
-    peak_rss_bytes, run_cell_fleet, run_fleet, run_scenario_fleet, take_home_cost, CellFleetConfig,
+    home_spec, peak_rss_bytes, run_cell_fleet, scenario_spec, CellFleetConfig, Fleet,
     DEFAULT_CHUNK, MAX_CELLS,
 };
 use threegol_bench::{resolve_workers, Pool};
 use threegol_proxy::MAX_SCENARIO_DAYS;
 use threegol_traces::DEFAULT_SCENARIO_SEED;
 
+const USAGE: &str =
+    "usage: fleet [homes] [workers] [chunk] [--cells N] [--scenario week|DAYS] [--seed S]";
+
+/// Print `message` and the usage line, then exit 2.
+fn fail(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, which must be present.
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str, expected: &str) -> String {
+    args.next().unwrap_or_else(|| fail(&format!("{flag} needs a value: {expected}")))
+}
+
 fn parse_positive(raw: &str, what: &str) -> usize {
     match raw.parse::<usize>() {
         Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("invalid {what} {raw:?}: expected a positive integer");
-            std::process::exit(2);
-        }
+        _ => fail(&format!("invalid {what} {raw:?}: expected a positive integer")),
     }
 }
 
@@ -54,45 +69,42 @@ fn main() {
     let mut seed = DEFAULT_SCENARIO_SEED;
     let mut args = std::env::args().skip(1);
     while let Some(raw) = args.next() {
-        if raw == "--cells" {
-            let value = args.next().unwrap_or_else(|| {
-                eprintln!("--cells needs a value (1..={MAX_CELLS})");
-                std::process::exit(2);
-            });
-            let n = parse_positive(&value, "cell count");
-            if n > MAX_CELLS {
-                eprintln!("invalid cell count {n}: the digest tracks at most {MAX_CELLS} cells");
-                std::process::exit(2);
+        match raw.as_str() {
+            "--cells" => {
+                let value = flag_value(&mut args, "--cells", &format!("1..={MAX_CELLS}"));
+                let n = parse_positive(&value, "cell count");
+                if n > MAX_CELLS {
+                    fail(&format!(
+                        "invalid cell count {n}: the digest tracks at most {MAX_CELLS} cells"
+                    ));
+                }
+                cells = Some(n as u32);
             }
-            cells = Some(n as u32);
-        } else if raw == "--scenario" {
-            let value = args.next().unwrap_or_else(|| {
-                eprintln!("--scenario needs a value: week, or a day count 1..={MAX_SCENARIO_DAYS}");
-                std::process::exit(2);
-            });
-            let days =
-                if value == "week" { 7 } else { parse_positive(&value, "scenario day count") };
-            if days > MAX_SCENARIO_DAYS {
-                eprintln!("invalid scenario length {days}: at most {MAX_SCENARIO_DAYS} days");
-                std::process::exit(2);
+            "--scenario" => {
+                let expected = format!("week, or a day count 1..={MAX_SCENARIO_DAYS}");
+                let value = flag_value(&mut args, "--scenario", &expected);
+                let days =
+                    if value == "week" { 7 } else { parse_positive(&value, "scenario day count") };
+                if days > MAX_SCENARIO_DAYS {
+                    fail(&format!(
+                        "invalid scenario length {days}: at most {MAX_SCENARIO_DAYS} days"
+                    ));
+                }
+                scenario_days = Some(days as u16);
             }
-            scenario_days = Some(days as u16);
-        } else if raw == "--seed" {
-            let value = args.next().unwrap_or_else(|| {
-                eprintln!("--seed needs a value");
-                std::process::exit(2);
-            });
-            seed = value.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("invalid seed {value:?}: expected a u64");
-                std::process::exit(2);
-            });
-        } else {
-            positional.push(raw);
+            "--seed" => {
+                let value = flag_value(&mut args, "--seed", "a u64");
+                seed = value
+                    .parse::<u64>()
+                    .unwrap_or_else(|_| fail(&format!("invalid seed {value:?}: expected a u64")));
+            }
+            flag if flag.starts_with("--") => fail(&format!("unknown flag {flag:?}")),
+            _ if positional.len() == 3 => fail(&format!("unexpected argument {raw:?}")),
+            _ => positional.push(raw),
         }
     }
     if scenario_days.is_some() && cells.is_some() {
-        eprintln!("--scenario and --cells are separate modes; pick one");
-        std::process::exit(2);
+        fail("--scenario and --cells are separate modes; pick one");
     }
     let mut positional = positional.into_iter();
     let homes = positional.next().map_or(100, |raw| parse_positive(&raw, "home count"));
@@ -107,8 +119,11 @@ fn main() {
             let run = run_cell_fleet(homes, chunk, pool, &config);
             (run.digest, Some(run))
         }
-        (None, Some(days)) => (run_scenario_fleet(homes, days, seed, chunk, pool), None),
-        (None, None) => (run_fleet(homes, chunk, pool), None),
+        (None, Some(days)) => {
+            let spec = move |index| scenario_spec(index, days, seed);
+            (Fleet { chunk, ..Fleet::new(homes, spec) }.run(pool), None)
+        }
+        (None, None) => (Fleet { chunk, ..Fleet::new(homes, home_spec) }.run(pool), None),
     });
     let wall = start.elapsed().as_secs_f64();
 
@@ -126,11 +141,4 @@ fn main() {
     if let Some(rss) = peak_rss_bytes() {
         println!("peak RSS {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
     }
-    let cost = take_home_cost();
-    println!(
-        "per-home cost: {:.1} µs setup + {:.1} µs workload + {:.1} µs teardown",
-        cost.setup_us(),
-        cost.workload_us(),
-        cost.teardown_us()
-    );
 }

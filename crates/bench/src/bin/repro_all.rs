@@ -14,8 +14,8 @@
 //! order — so the output is byte-identical for any worker count.
 
 use threegol_bench::fleet::{
-    run_cell_fleet, run_fleet, run_scenario_fleet, scenario_spec, CellFleetConfig, CellFleetRun,
-    FleetDigest, DEFAULT_CHUNK,
+    home_spec, run_cell_fleet, scenario_spec, CellFleetConfig, CellFleetRun, Fleet, FleetDigest,
+    DEFAULT_CHUNK,
 };
 use threegol_bench::{registry, resolve_workers, DynExperiment, Pool, Report, Scale};
 use threegol_caps::{evaluate_estimator, AllowanceEstimator};
@@ -40,7 +40,6 @@ gain over ADSL alone        min   ~p50   mean    max
 onloaded 595407.88 MB to 3G paths, 100010.68 MB duplicate waste, 50833330 virtual-net events
 1000000 homes on 1 worker(s), chunk 64: 1383.26 s wall (723 homes/s, 36749 net events/s); report digest 36f8644e7ac9100a
 peak RSS 11.5 MiB
-per-home cost: 0.9 \u{b5}s setup + 1378.9 \u{b5}s workload + 2.8 \u{b5}s teardown
 ";
 
 /// Render the fleet-at-scale section: a live streamed fleet run folded
@@ -92,7 +91,7 @@ fn fleet_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
         "```\n\n\
          Throughput, wall-clock and peak RSS above are machine-specific \
          (recorded on the 1-core reference container; the RSS ceiling is \
-         enforced at 256 MiB by `bench_summary` and the `fleet_scale` test). \
+         enforced at 256 MiB by the `fleet_scale` test). \
          The gain table and the digest are not: rerunning with any worker \
          count or chunk size — `fleet -- 1000000 7 23` included — must \
          reproduce them bit for bit, because each home is deterministic under \
@@ -306,17 +305,12 @@ fn main() {
             }
         });
         eprintln!("running fleet ({fleet_homes} live homes) …");
-        let digest = run_fleet(fleet_homes, DEFAULT_CHUNK, pool);
+        let digest = Fleet::new(fleet_homes, home_spec).run(pool);
         eprintln!("running cell-coupled fleet ({fleet_homes} homes, fixed point) …");
         let cells = run_cell_fleet(fleet_homes, DEFAULT_CHUNK, pool, &CellFleetConfig::default());
         eprintln!("running traced-scenario fleet ({fleet_homes} homes, {SCENARIO_DAYS} days) …");
-        let scenario = run_scenario_fleet(
-            fleet_homes,
-            SCENARIO_DAYS,
-            DEFAULT_SCENARIO_SEED,
-            DEFAULT_CHUNK,
-            pool,
-        );
+        let spec = |index| scenario_spec(index, SCENARIO_DAYS, DEFAULT_SCENARIO_SEED);
+        let scenario = Fleet::new(fleet_homes, spec).run(pool);
         (digest, cells, scenario)
     });
     let reports: Vec<Report> =

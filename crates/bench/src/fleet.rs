@@ -4,6 +4,12 @@
 //! **streamed** through the work-stealing [`Pool`] in chunks and
 //! aggregated into a mergeable [`FleetDigest`].
 //!
+//! A [`Fleet`] value is the one entry point: a home count, a chunk
+//! size, a [`RuntimeMode`], and a spec function from home index to
+//! [`HomeSpec`]. The paper street ([`home_spec`]), the traced-scenario
+//! street ([`scenario_spec`]) and each cell-coupled pass of
+//! [`run_cell_fleet`] are just different spec functions.
+//!
 //! Nothing is ever materialized per home: a [`HomeSpec`] is a pure
 //! `Copy` function of the home index built on the worker's stack, a
 //! [`HomeReport`] is folded into the worker's chunk digest the moment
@@ -24,8 +30,6 @@
 //! order-preserving; see `DESIGN.md` §11.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
 
 use threegol_proxy::{
     CellProfile, Home, HomeReport, HomeSpec, Scenario, Tier, MAX_SCENARIO_DAYS, NO_CELL,
@@ -65,8 +69,7 @@ pub const DEFAULT_CHUNK: usize = 64;
 /// The streamed design makes peak memory a function of the worker
 /// count (one in-flight chunk digest per worker plus one home's
 /// transient allocations per worker), never of the fleet size; the
-/// `fleet_scale` integration test and the `bench_summary` million-home
-/// row both fail if a run exceeds this.
+/// `fleet_scale` integration test fails if a run exceeds this.
 pub const FLEET_RSS_CEILING_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Number of buckets in a [`MetricDigest`] histogram.
@@ -202,7 +205,7 @@ impl MetricDigest {
 ///
 /// `merge` is **associative** and order-preserving, so any chunking of
 /// the home sequence produces bit-identical results as long as chunks
-/// merge in home order — which [`run_fleet`] guarantees for every
+/// merge in home order — which [`Fleet::run`] guarantees for every
 /// worker count. The content hash is a polynomial fold of per-home
 /// FNV-1a hashes: home `i` contributes `fnv(report_i)` and the
 /// combined hash of a sequence is `Σ fnv(report_i) · R^(n-1-i)` in
@@ -748,20 +751,6 @@ pub enum RuntimeMode {
     Fresh,
 }
 
-impl RuntimeMode {
-    /// The process-wide default: [`RuntimeMode::Reuse`], unless the
-    /// `THREEGOL_FRESH_RUNTIME` environment variable is set to
-    /// anything but `0` (the A/B switch `bench_summary` and profiling
-    /// runs use). Read once and cached.
-    pub fn default_mode() -> RuntimeMode {
-        static MODE: OnceLock<RuntimeMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var_os("THREEGOL_FRESH_RUNTIME") {
-            Some(v) if v != "0" => RuntimeMode::Fresh,
-            _ => RuntimeMode::Reuse,
-        })
-    }
-}
-
 thread_local! {
     /// The worker thread's reused home runtime ([`RuntimeMode::Reuse`]).
     static HOME_RT: RefCell<Option<Runtime>> = const { RefCell::new(None) };
@@ -781,193 +770,112 @@ fn with_runtime<R>(mode: RuntimeMode, f: impl FnOnce(&mut Runtime) -> R) -> R {
     }
 }
 
-static HOME_COST_HOMES: AtomicU64 = AtomicU64::new(0);
-static HOME_COST_SETUP_NS: AtomicU64 = AtomicU64::new(0);
-static HOME_COST_WORKLOAD_NS: AtomicU64 = AtomicU64::new(0);
-static HOME_COST_TEARDOWN_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Where the per-home wall time of a fleet run went, summed across all
-/// workers: runtime acquire/reset (`setup`), the home's `block_on`
-/// (`workload`), and digest fold + runtime release (`teardown`).
-/// Collected by [`take_home_cost`]; the `bench_summary`
-/// `home_cost_breakdown` row reports the per-home averages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HomeCost {
-    /// Homes the counters cover.
-    pub homes: u64,
-    /// Total nanoseconds acquiring (and resetting) runtimes.
-    pub setup_ns: u64,
-    /// Total nanoseconds inside `block_on` running home workloads.
-    pub workload_ns: u64,
-    /// Total nanoseconds folding reports and releasing runtimes.
-    pub teardown_ns: u64,
-}
-
-impl HomeCost {
-    fn per_home_us(&self, ns: u64) -> f64 {
-        if self.homes == 0 {
-            0.0
-        } else {
-            ns as f64 / self.homes as f64 / 1e3
-        }
-    }
-
-    /// Mean setup microseconds per home.
-    pub fn setup_us(&self) -> f64 {
-        self.per_home_us(self.setup_ns)
-    }
-
-    /// Mean workload microseconds per home.
-    pub fn workload_us(&self) -> f64 {
-        self.per_home_us(self.workload_ns)
-    }
-
-    /// Mean teardown microseconds per home.
-    pub fn teardown_us(&self) -> f64 {
-        self.per_home_us(self.teardown_ns)
-    }
-}
-
-/// Drain the process-wide home-cost counters: returns the totals
-/// accumulated since the last call and rewinds them to zero.
-pub fn take_home_cost() -> HomeCost {
-    HomeCost {
-        homes: HOME_COST_HOMES.swap(0, Relaxed),
-        setup_ns: HOME_COST_SETUP_NS.swap(0, Relaxed),
-        workload_ns: HOME_COST_WORKLOAD_NS.swap(0, Relaxed),
-        teardown_ns: HOME_COST_TEARDOWN_NS.swap(0, Relaxed),
-    }
-}
-
-/// Run one home inside a runtime obtained per `mode` and fold the
-/// outcome (report + that run's virtual-net event count) into
-/// `digest`. The home-cost counters get the setup / workload /
-/// teardown split.
-fn run_home_into(digest: &mut FleetDigest, spec: &HomeSpec, mode: RuntimeMode) {
-    let start = std::time::Instant::now();
-    let mut ready = start;
-    let mut done = start;
+/// Run one home inside a runtime obtained per `mode`: its report and
+/// that run's virtual-net event count (socket binds + connects +
+/// datagrams delivered).
+///
+/// Panics if the home's workload fails: in the virtual-net prototype
+/// every failure is a bug, never weather.
+fn run_home(spec: &HomeSpec, mode: RuntimeMode) -> (HomeReport, u64) {
     let (report, stats) = with_runtime(mode, |rt| {
-        ready = std::time::Instant::now();
-        let out = rt.block_on(async {
+        rt.block_on(async {
             let report = Home::run(spec).await;
             (report, tokio::net::stats())
-        });
-        done = std::time::Instant::now();
-        out
+        })
     });
     let report = report.unwrap_or_else(|e| panic!("home {} failed: {e}", spec.index));
-    digest.observe(&report);
-    digest.net_events += stats.tcp_binds + stats.tcp_connects + stats.udp_binds + stats.datagrams;
-    HOME_COST_HOMES.fetch_add(1, Relaxed);
-    HOME_COST_SETUP_NS.fetch_add((ready - start).as_nanos() as u64, Relaxed);
-    HOME_COST_WORKLOAD_NS.fetch_add((done - ready).as_nanos() as u64, Relaxed);
-    HOME_COST_TEARDOWN_NS.fetch_add(done.elapsed().as_nanos() as u64, Relaxed);
+    (report, stats.tcp_binds + stats.tcp_connects + stats.udp_binds + stats.datagrams)
 }
 
-/// Run a fleet of `homes` households, streamed through the pool in
-/// `chunk`-home units, and return the fleet digest.
+/// A fleet of `homes` households, home `index` running under
+/// `spec(index)`, streamed through the pool in `chunk`-home units.
 ///
-/// Memory is flat in the fleet size: no spec, report, or result vector
-/// of length `homes` ever exists (see module docs and
-/// [`FLEET_RSS_CEILING_BYTES`]). The digest is byte-identical for any
-/// worker count and any chunk size, because chunk digests fold homes
-/// in index order and merge in chunk order.
+/// `spec` must be a *pure* function of the index: it is called on
+/// whichever worker's stack picks the chunk up, and determinism of the
+/// digest rests on every call agreeing. [`Fleet::run`] is byte-identical
+/// for any worker count, any chunk size and either [`RuntimeMode`],
+/// because chunk digests fold homes in index order and merge in chunk
+/// order.
 ///
 /// ```
-/// use threegol_bench::fleet::run_fleet;
+/// use threegol_bench::fleet::{home_spec, Fleet};
 /// use threegol_bench::Pool;
 ///
-/// let two = Pool::with(2, |pool| run_fleet(4, 2, pool));
-/// let seven = Pool::with(7, |pool| run_fleet(4, 1, pool));
+/// let two = Pool::with(2, |pool| Fleet { chunk: 2, ..Fleet::new(4, home_spec) }.run(pool));
+/// let seven = Pool::with(7, |pool| Fleet { chunk: 1, ..Fleet::new(4, home_spec) }.run(pool));
 /// assert_eq!(two, seven);
 /// assert_eq!(two.homes, 4);
 /// assert!(two.upload_gain.min > 0.0);
 /// ```
-///
-/// Panics if any home's workload fails: in the virtual-net prototype
-/// every failure is a bug, never weather.
-pub fn run_fleet(homes: usize, chunk: usize, pool: &Pool) -> FleetDigest {
-    run_fleet_with(homes, chunk, pool, home_spec)
+#[derive(Debug, Clone, Copy)]
+pub struct Fleet<F> {
+    /// Households in the fleet (home indices `0..homes`).
+    pub homes: usize,
+    /// Homes per streamed pool unit.
+    pub chunk: usize,
+    /// How each worker obtains the runtime a home runs under.
+    pub mode: RuntimeMode,
+    /// The spec for home `index`.
+    pub spec: F,
 }
 
-/// Run a traced-scenario fleet: [`run_fleet`]'s street of homes, each
-/// driven by the multi-day scenario engine for `days` simulated days
-/// at `seed` (see [`scenario_spec`]). Same streaming, same determinism
-/// contract — the digest, scenario accumulators included, is
-/// byte-identical for any worker count, chunk size, and runtime mode.
-pub fn run_scenario_fleet(
-    homes: usize,
-    days: u16,
-    seed: u64,
-    chunk: usize,
-    pool: &Pool,
-) -> FleetDigest {
-    run_fleet_with(homes, chunk, pool, move |index| scenario_spec(index, days, seed))
-}
-
-/// [`run_fleet`] with a caller-supplied spec function: home `index`
-/// runs under `spec(index)`. The function must be a *pure* function of
-/// the index — it is called on whichever worker's stack picks the
-/// chunk up, and determinism of the digest rests on every call site
-/// agreeing. This is the entry point cell-coupled passes use, feeding
-/// per-cell capacity profiles from the previous pass into each spec.
-pub fn run_fleet_with<F>(homes: usize, chunk: usize, pool: &Pool, spec: F) -> FleetDigest
+impl<F> Fleet<F>
 where
-    F: Fn(u32) -> HomeSpec + Send + Sync + 'static,
+    F: Fn(u32) -> HomeSpec + Clone + Send + Sync + 'static,
 {
-    run_fleet_mode(homes, chunk, pool, spec, RuntimeMode::default_mode())
-}
+    /// A fleet of `homes` homes under `spec`, streamed in
+    /// [`DEFAULT_CHUNK`]-home units on reused runtimes.
+    pub fn new(homes: usize, spec: F) -> Fleet<F> {
+        Fleet { homes, chunk: DEFAULT_CHUNK, mode: RuntimeMode::Reuse, spec }
+    }
 
-/// [`run_fleet_with`] with an explicit [`RuntimeMode`] — the entry
-/// point the determinism tests use to prove the fourth invariant:
-/// the digest is byte-identical whether each home gets a fresh
-/// runtime or the worker's reused one.
-pub fn run_fleet_mode<F>(
-    homes: usize,
-    chunk: usize,
-    pool: &Pool,
-    spec: F,
-    mode: RuntimeMode,
-) -> FleetDigest
-where
-    F: Fn(u32) -> HomeSpec + Send + Sync + 'static,
-{
-    assert!(homes <= u32::MAX as usize, "home index space is u32");
-    let homes = homes as u32;
-    let chunk = chunk.max(1) as u32;
-    let ranges: Vec<(u32, u32)> =
-        (0..homes).step_by(chunk as usize).map(|start| (start, homes.min(start + chunk))).collect();
-    fold(
-        pool,
-        ranges,
-        move |&(start, end)| {
-            let mut part = FleetDigest::empty();
-            for index in start..end {
-                run_home_into(&mut part, &spec(index), mode);
-            }
-            part
-        },
-        FleetDigest::empty(),
-        |mut acc, part| {
-            acc.merge(&part);
-            acc
-        },
-    )
-}
+    /// The pool units: `chunk`-home index ranges covering `0..homes`.
+    fn chunks(&self) -> Vec<(u32, u32)> {
+        assert!(self.homes <= u32::MAX as usize, "home index space is u32");
+        let homes = self.homes as u32;
+        let chunk = self.chunk.max(1) as u32;
+        (0..homes).step_by(chunk as usize).map(|start| (start, homes.min(start + chunk))).collect()
+    }
 
-/// Run a small fleet and keep every per-home report — the
-/// materializing path for tests and close inspection. The big-fleet
-/// entry point is [`run_fleet`]; this one holds `homes` reports in
-/// memory.
-pub fn collect_reports(homes: usize, pool: &Pool) -> Vec<HomeReport> {
-    assert!(homes <= u32::MAX as usize, "home index space is u32");
-    let indices: Vec<u32> = (0..homes as u32).collect();
-    map(pool, indices, |&index| {
-        let spec = home_spec(index);
-        with_runtime(RuntimeMode::default_mode(), |rt| rt.block_on(Home::run(&spec)))
-            .unwrap_or_else(|e| panic!("home {index} failed: {e}"))
-    })
+    /// Run the fleet and return its digest.
+    ///
+    /// Memory is flat in the fleet size: no spec, report, or result
+    /// vector of length `homes` ever exists (see module docs and
+    /// [`FLEET_RSS_CEILING_BYTES`]).
+    pub fn run(&self, pool: &Pool) -> FleetDigest {
+        let (spec, mode) = (self.spec.clone(), self.mode);
+        fold(
+            pool,
+            self.chunks(),
+            move |&(start, end)| {
+                let mut part = FleetDigest::empty();
+                for index in start..end {
+                    let (report, net_events) = run_home(&spec(index), mode);
+                    part.observe(&report);
+                    part.net_events += net_events;
+                }
+                part
+            },
+            FleetDigest::empty(),
+            |mut acc, part| {
+                acc.merge(&part);
+                acc
+            },
+        )
+    }
+
+    /// Run the fleet and keep every per-home report, in index order —
+    /// the materializing path for tests and close inspection. Folding
+    /// the reports through [`FleetDigest::observe`] reproduces
+    /// [`Fleet::run`]'s content hash; this holds `homes` reports in
+    /// memory.
+    pub fn reports(&self, pool: &Pool) -> Vec<HomeReport> {
+        let (spec, mode) = (self.spec.clone(), self.mode);
+        let chunks = map(pool, self.chunks(), move |&(start, end)| {
+            (start..end).map(|index| run_home(&spec(index), mode).0).collect::<Vec<_>>()
+        });
+        chunks.concat()
+    }
 }
 
 /// Configuration for a cell-coupled fleet run (see [`run_cell_fleet`]).
@@ -1126,10 +1034,11 @@ pub fn run_cell_fleet(
     loop {
         passes += 1;
         let (pass_map, pass_profiles) = (map.clone(), profiles.clone());
-        let digest = run_fleet_with(homes, chunk, pool, move |index| {
+        let spec = move |index| {
             let cell = pass_map.cell_of(index);
             home_spec(index).hour(pass_map.hour_of(index)).cell(pass_profiles[cell as usize])
-        });
+        };
+        let digest = Fleet { chunk, ..Fleet::new(homes, spec) }.run(pool);
         let loads = digest.cells.loads(config.cells, config.scale_per_home);
         let mut next = share_profiles(&map, config, &loads);
         // Relax: move only `damping` of the way toward the implied
@@ -1445,14 +1354,15 @@ mod tests {
 
     #[test]
     fn small_fleet_digests_and_renders() {
-        let digest = Pool::with(2, |pool| run_fleet(4, 2, pool));
+        let fleet = Fleet { chunk: 2, ..Fleet::new(4, home_spec) };
+        let digest = Pool::with(2, |pool| fleet.run(pool));
         assert_eq!(digest.homes, 4);
         assert!(digest.upload_gain.min > 0.0);
         assert!(digest.device_bytes() > 0.0);
         assert!(digest.net_events > 0);
         assert!(!digest.render().is_empty());
-        // The collect path sees the same homes.
-        let reports = Pool::with(2, |pool| collect_reports(4, pool));
+        // The materializing path sees the same homes.
+        let reports = Pool::with(2, |pool| fleet.reports(pool));
         let mut refold = FleetDigest::empty();
         for r in &reports {
             refold.observe(r);

@@ -28,13 +28,18 @@
 //!
 //! Beyond the simulator experiments, the [`fleet`] module streams
 //! whole live-prototype households (virtual-net tokio runtimes)
-//! through the same pool in chunks, folding them into a mergeable
-//! [`fleet::FleetDigest`] so fleets of a million homes run in flat
+//! through the same pool in chunks: a [`Fleet`] value (home count,
+//! chunk size, runtime mode, spec function) folds them into a
+//! mergeable [`FleetDigest`] so fleets of a million homes run in flat
 //! memory:
 //!
 //! ```text
 //! cargo run -p threegol-bench --release --bin fleet [homes] [workers] [chunk]
 //! ```
+//!
+//! Performance is measured end to end by the repository benchmark
+//! (`BENCHMARK.json`, `bash benchmark/run.sh`), which drives the
+//! `fleet` binary and this crate's public API from its own package.
 //!
 //! The `THREEGOL_WORKERS` environment variable overrides the detected
 //! core count when no explicit worker argument is given.
@@ -48,7 +53,7 @@ pub mod util;
 
 pub use exec::{fold, map, resolve_workers, Pool};
 pub use experiment::{registry, DynExperiment, Experiment, Registry, Scale, ScaleError};
-pub use fleet::{run_fleet, FleetDigest, MetricDigest};
+pub use fleet::{Fleet, FleetDigest, MetricDigest};
 pub use util::{Check, Report, ReportBuilder};
 
 /// Shared entry point for the per-experiment binaries: parse

@@ -4,12 +4,9 @@
 //! sizes, it agrees with the sequential per-report fold, and the
 //! traffic never touches a kernel socket.
 
-use threegol_bench::fleet::{
-    collect_reports, home_spec, run_fleet, run_fleet_mode, scenario_spec, FleetDigest, RuntimeMode,
-    DEFAULT_CHUNK,
-};
+use threegol_bench::fleet::{home_spec, scenario_spec, Fleet, FleetDigest, RuntimeMode};
 use threegol_bench::Pool;
-use threegol_proxy::Home;
+use threegol_proxy::{Home, HomeReport};
 use threegol_traces::DEFAULT_SCENARIO_SEED;
 
 /// Open kernel sockets of this process, per /proc. The virtual-net
@@ -26,6 +23,15 @@ fn kernel_socket_count() -> usize {
         .unwrap_or(0)
 }
 
+/// The sequential fold of materialized per-home reports.
+fn refold(reports: &[HomeReport]) -> FleetDigest {
+    let mut digest = FleetDigest::empty();
+    for report in reports {
+        digest.observe(report);
+    }
+    digest
+}
+
 #[test]
 fn two_hundred_home_fleet_is_deterministic_and_kernel_socket_free() {
     #[cfg(target_os = "linux")]
@@ -36,22 +42,19 @@ fn two_hundred_home_fleet_is_deterministic_and_kernel_socket_free() {
     // chunk size that doesn't divide it either: every digest field —
     // f64-derived sums and the content hash included — must agree bit
     // for bit.
-    let first = Pool::with(4, |pool| run_fleet(200, DEFAULT_CHUNK, pool));
-    let second = Pool::with(4, |pool| run_fleet(200, DEFAULT_CHUNK, pool));
-    let serial = Pool::with(1, |pool| run_fleet(200, DEFAULT_CHUNK, pool));
-    let odd = Pool::with(7, |pool| run_fleet(200, 23, pool));
+    let street = Fleet::new(200, home_spec);
+    let first = Pool::with(4, |pool| street.run(pool));
+    let second = Pool::with(4, |pool| street.run(pool));
+    let serial = Pool::with(1, |pool| street.run(pool));
+    let odd = Pool::with(7, |pool| Fleet { chunk: 23, ..street }.run(pool));
     assert_eq!(first, second, "same worker count diverged");
     assert_eq!(first, serial, "worker count changed the result");
     assert_eq!(first, odd, "worker/chunk combination changed the result");
 
     // The streamed digest is exactly the sequential fold of the
     // materialized per-home reports.
-    let reports = Pool::with(4, |pool| collect_reports(200, pool));
-    let mut refold = FleetDigest::empty();
-    for report in &reports {
-        refold.observe(report);
-    }
-    assert_eq!(refold.digest(), first.digest(), "streamed digest != sequential fold");
+    let reports = Pool::with(4, |pool| street.reports(pool));
+    assert_eq!(refold(&reports).digest(), first.digest(), "streamed digest != sequential fold");
 
     #[cfg(target_os = "linux")]
     assert_eq!(kernel_socket_count(), sockets_before, "the fleet path opened a real socket");
@@ -92,18 +95,11 @@ fn traced_scenario_fleet_is_deterministic_across_workers_chunks_and_modes() {
     // leave mid-day with p=0.35), so this is also the fleet-level churn
     // determinism proof.
     let (homes, days) = (24usize, 3u16);
+    let traced = Fleet::new(homes, move |i| scenario_spec(i, days, DEFAULT_SCENARIO_SEED));
     let mut runs = Vec::new();
-    for (workers, chunk) in [(1, DEFAULT_CHUNK), (4, 23), (7, 23)] {
+    for (workers, chunk) in [(1, traced.chunk), (4, 23), (7, 23)] {
         for mode in [RuntimeMode::Reuse, RuntimeMode::Fresh] {
-            let digest = Pool::with(workers, |pool| {
-                run_fleet_mode(
-                    homes,
-                    chunk,
-                    pool,
-                    move |i| scenario_spec(i, days, DEFAULT_SCENARIO_SEED),
-                    mode,
-                )
-            });
+            let digest = Pool::with(workers, |pool| Fleet { chunk, mode, ..traced }.run(pool));
             runs.push((workers, chunk, mode, digest));
         }
     }
@@ -134,15 +130,14 @@ fn traced_scenario_fleet_is_deterministic_across_workers_chunks_and_modes() {
     assert!((0.0..=1.0).contains(&s.captured_fraction()));
     assert!(reference.render().contains("scenario:"), "render omits the scenario lines");
 
+    // The materializing path honours the traced spec: its reports,
+    // refolded in index order, carry the streamed digest's content hash.
+    let reports = Pool::with(4, |pool| traced.reports(pool));
+    assert_eq!(refold(&reports).digest(), reference.digest(), "traced reports != streamed digest");
+
     // A different seed is a different street.
     let reseeded = Pool::with(4, |pool| {
-        run_fleet_mode(
-            homes,
-            DEFAULT_CHUNK,
-            pool,
-            move |i| scenario_spec(i, days, DEFAULT_SCENARIO_SEED ^ 0xdead),
-            RuntimeMode::Reuse,
-        )
+        Fleet::new(homes, move |i| scenario_spec(i, days, DEFAULT_SCENARIO_SEED ^ 0xdead)).run(pool)
     });
     assert_ne!(reseeded.digest(), reference.digest(), "seed did not reach the scenario");
 }
@@ -158,10 +153,10 @@ fn runtime_reuse_is_bitwise_invisible() {
     // equality across every {workers} x {chunk} x {reuse|fresh}
     // combination is the whole proof.
     let mut runs = Vec::new();
-    for (workers, chunk) in [(1, DEFAULT_CHUNK), (4, 23)] {
+    let street = Fleet::new(200, home_spec);
+    for (workers, chunk) in [(1, street.chunk), (4, 23)] {
         for mode in [RuntimeMode::Reuse, RuntimeMode::Fresh] {
-            let digest =
-                Pool::with(workers, |pool| run_fleet_mode(200, chunk, pool, home_spec, mode));
+            let digest = Pool::with(workers, |pool| Fleet { chunk, mode, ..street }.run(pool));
             runs.push((workers, chunk, mode, digest));
         }
     }

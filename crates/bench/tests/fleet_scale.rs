@@ -8,10 +8,7 @@
 //! (synthetic reports, milliseconds); the live worker-count sweep is
 //! in `tests/fleet.rs` and the CI fleet-smoke job.
 
-use threegol_bench::fleet::{
-    home_spec, peak_rss_bytes, run_fleet, run_fleet_mode, RuntimeMode, DEFAULT_CHUNK,
-    FLEET_RSS_CEILING_BYTES,
-};
+use threegol_bench::fleet::{home_spec, peak_rss_bytes, Fleet, FLEET_RSS_CEILING_BYTES};
 use threegol_bench::Pool;
 
 #[test]
@@ -24,14 +21,14 @@ fn streamed_fleet_memory_is_flat_and_under_the_ceiling() {
 
     // Warm-up fleet: binary, allocator arenas, per-worker scratch all
     // reach steady state here.
-    let small = Pool::with(4, |pool| run_fleet(500, DEFAULT_CHUNK, pool));
+    let small = Pool::with(4, |pool| Fleet::new(500, home_spec).run(pool));
     let peak_after_small = peak_rss_bytes().unwrap();
 
     // Ten times the homes must not move peak memory: specs are built
     // on worker stacks, reports fold into chunk digests immediately,
     // and the driver only ever holds the reorder buffer of in-flight
     // chunk digests.
-    let large = Pool::with(4, |pool| run_fleet(5000, DEFAULT_CHUNK, pool));
+    let large = Pool::with(4, |pool| Fleet::new(5000, home_spec).run(pool));
     let peak_after_large = peak_rss_bytes().unwrap();
 
     assert_eq!(small.homes, 500);
@@ -58,9 +55,7 @@ fn streamed_fleet_memory_is_flat_and_under_the_ceiling() {
     // virtual-net registration, a parked-waker Arc — compounds 5000x
     // and moves the monotonic VmHWM past the slack; a correct reset
     // keeps only the reusable arenas the warm-up already paid for.
-    let reused = Pool::with(1, |pool| {
-        run_fleet_mode(5000, DEFAULT_CHUNK, pool, home_spec, RuntimeMode::Reuse)
-    });
+    let reused = Pool::with(1, |pool| Fleet::new(5000, home_spec).run(pool));
     let peak_after_reuse = peak_rss_bytes().unwrap();
     assert_eq!(reused.homes, 5000);
     assert!(

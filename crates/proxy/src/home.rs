@@ -555,10 +555,6 @@ impl Home {
     }
 }
 
-/// Play the prebuffer phase of a VoD session against the home's HLS
-/// proxy: fetch the media playlist, then every segment in order (the
-/// proxy serves them from its multipath prefetch as they land).
-/// Returns the total segment bytes received.
 /// Deterministic filler body for photo `i`, shared process-wide: every
 /// home with the same photo size uploads views of one allocation
 /// instead of re-filling `photo_bytes` per photo per home (the upload
@@ -578,6 +574,10 @@ pub(crate) fn photo_body(i: usize, photo_bytes: usize) -> Bytes {
     )
 }
 
+/// Play the prebuffer phase of a VoD session against the home's HLS
+/// proxy: fetch the media playlist, then every segment in order (the
+/// proxy serves them from its multipath prefetch as they land).
+/// Returns the total segment bytes received.
 async fn prebuffer_vod(proxy_addr: SocketAddr, playlist: &str) -> Result<f64, HttpError> {
     let stream = TcpStream::connect(proxy_addr).await.map_err(HttpError::Io)?;
     let mut http = HttpStream::new(stream);
