@@ -24,6 +24,7 @@ use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
 
 use crate::error::HttpError;
 use crate::headers::Headers;
+use crate::search::find_from;
 use crate::{MAX_BODY_BYTES, MAX_HEADER_BYTES};
 
 /// An HTTP request.
@@ -707,39 +708,6 @@ async fn write_all_vectored<W: AsyncWrite + Unpin>(
         body = &body[n - from_head..];
     }
     Ok(())
-}
-
-/// Incremental delimiter search: resume at `scanned` minus a
-/// `needle.len() - 1` overlap, so bytes already examined are not
-/// rescanned when more arrive.
-fn find_from(haystack: &[u8], scanned: usize, needle: &[u8]) -> Option<usize> {
-    let start = scanned.saturating_sub(needle.len() - 1);
-    find_subsequence(&haystack[start..], needle).map(|pos| pos + start)
-}
-
-/// memchr-style search: skip to candidate first bytes instead of
-/// comparing a window at every offset.
-fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    let (&first, rest) = needle.split_first()?;
-    let mut base = 0;
-    while base + needle.len() <= haystack.len() {
-        let pos = find_byte(&haystack[base..], first)?;
-        let at = base + pos;
-        if at + needle.len() > haystack.len() {
-            return None;
-        }
-        if &haystack[at + 1..at + needle.len()] == rest {
-            return Some(at);
-        }
-        base = at + 1;
-    }
-    None
-}
-
-/// First position of `byte` (`iter().position` compiles to a vectorized
-/// byte scan; kept as a seam should a real memchr ever be vendored).
-fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
-    haystack.iter().position(|&b| b == byte)
 }
 
 /// One-shot: read a request from `reader` (fresh buffer).

@@ -24,6 +24,7 @@ pub mod codec;
 pub mod error;
 pub mod headers;
 pub mod multipart;
+mod search;
 
 pub use codec::{
     read_request, read_response, write_request, write_response, Body, BodyFraming, HttpStream,

@@ -310,13 +310,10 @@ impl<T: AsyncRead + Unpin> AsyncRead for ThrottledStream<T> {
             let mut limited = buf.take(allowed);
             return match Pin::new(&mut this.inner).poll_read(cx, &mut limited) {
                 Poll::Ready(Ok(())) => {
+                    // `take` borrows the same backing buffer, so only
+                    // the original's cursor needs to advance.
                     let n = limited.filled().len();
-                    let filled_total = buf.filled().len() + n;
-                    // Safety-free accounting: `take` borrows the same
-                    // backing buffer, so we only need to advance the
-                    // original's cursor.
-                    unsafe { buf.assume_init(n) };
-                    buf.set_filled(filled_total);
+                    buf.advance(n);
                     this.read_bucket.consume(n);
                     Poll::Ready(Ok(()))
                 }
