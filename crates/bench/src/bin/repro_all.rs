@@ -37,9 +37,9 @@ fleet: 1000000 homes (virtual net, virtual time)
 gain over ADSL alone        min   ~p50   mean    max
   vod prebuffer              1.37   1.83   1.88   2.77
   photo upload               1.79   3.67   4.69  11.92
-onloaded 595407.88 MB to 3G paths, 100010.68 MB duplicate waste, 50833330 virtual-net events
-1000000 homes on 1 worker(s), chunk 64: 1383.26 s wall (723 homes/s, 36749 net events/s); report digest 36f8644e7ac9100a
-peak RSS 11.5 MiB
+onloaded 595407.88 MB to 3G paths, 100010.68 MB duplicate waste, 32833325 virtual-net events
+1000000 homes on 2 worker(s), chunk 64: 608.93 s wall (1642 homes/s, 53919 net events/s); report digest 36f8644e7ac9100a
+peak RSS 20.5 MiB
 ";
 
 /// Render the fleet-at-scale section: a live streamed fleet run folded
@@ -81,16 +81,16 @@ fn fleet_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
     out.push_str(
         "\n### Recorded million-home run\n\n\
          The same binary scales four orders of magnitude past the paper's \
-         deployment on one core in flat memory — the streamed fold never \
+         deployment on two cores in flat memory — the streamed fold never \
          materializes the fleet:\n\n\
          ```text\n\
-         $ cargo run -p threegol-bench --release --bin fleet -- 1000000 1 64\n",
+         $ cargo run -p threegol-bench --release --bin fleet -- 1000000 2 64\n",
     );
     out.push_str(RECORDED_1M);
     out.push_str(
         "```\n\n\
          Throughput, wall-clock and peak RSS above are machine-specific \
-         (recorded on the 1-core reference container; the RSS ceiling is \
+         (recorded on a 2-vCPU container; the RSS ceiling is \
          enforced at 256 MiB by the `fleet_scale` test). \
          The gain table and the digest are not: rerunning with any worker \
          count or chunk size — `fleet -- 1000000 7 23` included — must \

@@ -95,6 +95,14 @@ fn from_fp(fp: i128) -> f64 {
     fp as f64 / FP_SCALE
 }
 
+/// Fold one fixed-size row into another, element by element. Every row
+/// in the digests is integers, so this add is exact and associative.
+fn add_rows<T: Copy + std::ops::AddAssign, const N: usize>(mine: &mut [T; N], theirs: &[T; N]) {
+    for (mine, theirs) in mine.iter_mut().zip(theirs) {
+        *mine += *theirs;
+    }
+}
+
 /// Mergeable summary of one per-home metric: count, exact fixed-point
 /// sum, min/max, and a 64-bucket quarter-log2 histogram covering
 /// `[2^-4, 2^12)` (0.0625 .. 4096, ~19% per bucket) from which
@@ -155,9 +163,7 @@ impl MetricDigest {
         self.sum_fp += other.sum_fp;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (mine, theirs) in self.hist.iter_mut().zip(other.hist.iter()) {
-            *mine += *theirs;
-        }
+        add_rows(&mut self.hist, &other.hist);
     }
 
     /// Sum of all observations (fixed-point rounded).
@@ -400,15 +406,9 @@ impl CellDigest {
     /// Fold another digest in: element-wise integer adds, exact and
     /// associative.
     pub fn merge(&mut self, other: &CellDigest) {
-        for (mine, theirs) in self.homes.iter_mut().zip(other.homes.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.dl_fp.iter_mut().zip(other.dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.ul_fp.iter_mut().zip(other.ul_fp.iter()) {
-            *mine += *theirs;
-        }
+        add_rows(&mut self.homes, &other.homes);
+        add_rows(&mut self.dl_fp, &other.dl_fp);
+        add_rows(&mut self.ul_fp, &other.ul_fp);
     }
 
     /// Onloaded bytes for cell `cell` at hour `hour`, `(down, up)`.
@@ -468,10 +468,10 @@ pub struct ScenarioDigest {
     /// Sessions that ran ADSL-only (no admissible 3G path).
     pub adsl_only_sessions: u64,
     /// Daily allowance granted across device-days, fixed-point bytes.
-    granted_fp: i64,
+    granted_allowance_fp: i64,
     /// Allowance consumed (`min(used, granted)` per device-day),
     /// fixed-point bytes.
-    used_fp: i64,
+    used_allowance_fp: i64,
     /// Downlink onload per scenario day, fixed-point bytes.
     day_dl_fp: [i64; MAX_SCENARIO_DAYS],
     /// Uplink onload per scenario day, fixed-point bytes.
@@ -491,8 +491,8 @@ impl ScenarioDigest {
             overrun_device_days: 0,
             sessions: 0,
             adsl_only_sessions: 0,
-            granted_fp: 0,
-            used_fp: 0,
+            granted_allowance_fp: 0,
+            used_allowance_fp: 0,
             day_dl_fp: [0; MAX_SCENARIO_DAYS],
             day_ul_fp: [0; MAX_SCENARIO_DAYS],
             hour_dl_fp: [0; 24],
@@ -511,20 +511,12 @@ impl ScenarioDigest {
         self.overrun_device_days += report.overrun_device_days as u64;
         self.sessions += report.sessions as u64;
         self.adsl_only_sessions += report.adsl_only_sessions as u64;
-        self.granted_fp += report.granted_allowance_fp;
-        self.used_fp += report.used_allowance_fp;
-        for (mine, theirs) in self.day_dl_fp.iter_mut().zip(report.day_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.day_ul_fp.iter_mut().zip(report.day_ul_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_dl_fp.iter_mut().zip(report.hour_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_ul_fp.iter_mut().zip(report.hour_ul_fp.iter()) {
-            *mine += *theirs;
-        }
+        self.granted_allowance_fp += report.granted_allowance_fp;
+        self.used_allowance_fp += report.used_allowance_fp;
+        add_rows(&mut self.day_dl_fp, &report.day_dl_fp);
+        add_rows(&mut self.day_ul_fp, &report.day_ul_fp);
+        add_rows(&mut self.hour_dl_fp, &report.hour_dl_fp);
+        add_rows(&mut self.hour_ul_fp, &report.hour_ul_fp);
     }
 
     /// Fold another digest in: element-wise integer adds, exact and
@@ -535,20 +527,12 @@ impl ScenarioDigest {
         self.overrun_device_days += other.overrun_device_days;
         self.sessions += other.sessions;
         self.adsl_only_sessions += other.adsl_only_sessions;
-        self.granted_fp += other.granted_fp;
-        self.used_fp += other.used_fp;
-        for (mine, theirs) in self.day_dl_fp.iter_mut().zip(other.day_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.day_ul_fp.iter_mut().zip(other.day_ul_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_dl_fp.iter_mut().zip(other.hour_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_ul_fp.iter_mut().zip(other.hour_ul_fp.iter()) {
-            *mine += *theirs;
-        }
+        self.granted_allowance_fp += other.granted_allowance_fp;
+        self.used_allowance_fp += other.used_allowance_fp;
+        add_rows(&mut self.day_dl_fp, &other.day_dl_fp);
+        add_rows(&mut self.day_ul_fp, &other.day_ul_fp);
+        add_rows(&mut self.hour_dl_fp, &other.hour_dl_fp);
+        add_rows(&mut self.hour_ul_fp, &other.hour_ul_fp);
     }
 
     /// Onloaded bytes on scenario day `day`, `(down, up)`.
@@ -580,15 +564,15 @@ impl ScenarioDigest {
     /// Fraction of the granted allowance the workload actually
     /// consumed (`Σ min(used, granted) / Σ granted`).
     pub fn captured_fraction(&self) -> f64 {
-        if self.granted_fp == 0 {
+        if self.granted_allowance_fp == 0 {
             return 0.0;
         }
-        self.used_fp as f64 / self.granted_fp as f64
+        self.used_allowance_fp as f64 / self.granted_allowance_fp as f64
     }
 
     /// Total allowance granted across device-days, bytes.
     pub fn granted_bytes(&self) -> f64 {
-        self.granted_fp as f64 / SCENARIO_FP_SCALE
+        self.granted_allowance_fp as f64 / SCENARIO_FP_SCALE
     }
 }
 
@@ -1083,6 +1067,8 @@ pub fn peak_rss_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn specs_are_heterogeneous_but_deterministic() {
@@ -1216,6 +1202,163 @@ mod tests {
         let mut d = FleetDigest::empty();
         d.observe(&rehoured);
         assert_ne!(a.digest(), d.digest());
+    }
+
+    /// A random report: finite floats, a cell below [`MAX_CELLS`], rows
+    /// small enough that a few hundred reports sum without overflow,
+    /// scenario fields filled in either way, and `days == 0` one time
+    /// in three.
+    fn random_report(rng: &mut StdRng) -> HomeReport {
+        let mut r = HomeReport::empty(rng.random());
+        r.cell = rng.random_range(0..MAX_CELLS as u32);
+        r.hour = rng.random_range(0..24u8);
+        for v in [
+            &mut r.vod_bytes,
+            &mut r.vod_secs,
+            &mut r.vod_gain,
+            &mut r.upload_bytes,
+            &mut r.upload_secs,
+            &mut r.upload_gain,
+            &mut r.vod_device_bytes,
+            &mut r.upload_device_bytes,
+            &mut r.upload_wasted_bytes,
+        ] {
+            *v = rng.random_range(1e-3..1e6);
+        }
+        let days = rng.random_range(1..MAX_SCENARIO_DAYS as u16 + 1);
+        r.days = if rng.random_range(0..3u32) == 0 { 0 } else { days };
+        for v in [
+            &mut r.sessions,
+            &mut r.adsl_only_sessions,
+            &mut r.overrun_device_days,
+            &mut r.device_days,
+        ] {
+            *v = rng.random();
+        }
+        for v in [&mut r.granted_allowance_fp, &mut r.used_allowance_fp]
+            .into_iter()
+            .chain(r.day_dl_fp.iter_mut())
+            .chain(r.day_ul_fp.iter_mut())
+            .chain(r.hour_dl_fp.iter_mut())
+            .chain(r.hour_ul_fp.iter_mut())
+        {
+            *v = rng.random_range(0..1i64 << 40);
+        }
+        r
+    }
+
+    /// Flip mantissa bit `b % 52` of a float, which keeps it finite.
+    fn flip_f64(v: &mut f64, b: u64) {
+        *v = f64::from_bits(v.to_bits() ^ 1 << (b % 52));
+    }
+
+    /// Flip bit `b % 64` of element `b / 64` (wrapped) of a row.
+    fn flip_row<const N: usize>(row: &mut [i64; N], b: u64) {
+        row[(b / 64) as usize % N] ^= 1 << (b % 64);
+    }
+
+    /// A mutator that flips one bit, picked by its `u64` argument, of
+    /// one report field.
+    type Flip = fn(&mut HomeReport, u64);
+
+    /// Every `HomeReport` field, with a one-bit mutator and whether it
+    /// is a scenario field (hashed only when `days > 0`). `cell` flips
+    /// a bit below [`MAX_CELLS`], so the report stays observable.
+    fn report_fields() -> Vec<(&'static str, bool, Flip)> {
+        vec![
+            ("index", false, |r, b| r.index ^= 1 << (b % 32)),
+            ("cell", false, |r, b| r.cell ^= 1 << (b % 5)),
+            ("hour", false, |r, b| r.hour ^= 1 << (b % 8)),
+            ("vod_bytes", false, |r, b| flip_f64(&mut r.vod_bytes, b)),
+            ("vod_secs", false, |r, b| flip_f64(&mut r.vod_secs, b)),
+            ("vod_gain", false, |r, b| flip_f64(&mut r.vod_gain, b)),
+            ("upload_bytes", false, |r, b| flip_f64(&mut r.upload_bytes, b)),
+            ("upload_secs", false, |r, b| flip_f64(&mut r.upload_secs, b)),
+            ("upload_gain", false, |r, b| flip_f64(&mut r.upload_gain, b)),
+            ("vod_device_bytes", false, |r, b| flip_f64(&mut r.vod_device_bytes, b)),
+            ("upload_device_bytes", false, |r, b| flip_f64(&mut r.upload_device_bytes, b)),
+            ("upload_wasted_bytes", false, |r, b| flip_f64(&mut r.upload_wasted_bytes, b)),
+            ("days", false, |r, b| r.days ^= 1 << (b % 16)),
+            ("sessions", true, |r, b| r.sessions ^= 1 << (b % 32)),
+            ("adsl_only_sessions", true, |r, b| r.adsl_only_sessions ^= 1 << (b % 32)),
+            ("overrun_device_days", true, |r, b| r.overrun_device_days ^= 1 << (b % 32)),
+            ("device_days", true, |r, b| r.device_days ^= 1 << (b % 32)),
+            ("granted_allowance_fp", true, |r, b| r.granted_allowance_fp ^= 1 << (b % 64)),
+            ("used_allowance_fp", true, |r, b| r.used_allowance_fp ^= 1 << (b % 64)),
+            ("day_dl_fp", true, |r, b| flip_row(&mut r.day_dl_fp, b)),
+            ("day_ul_fp", true, |r, b| flip_row(&mut r.day_ul_fp, b)),
+            ("hour_dl_fp", true, |r, b| flip_row(&mut r.hour_dl_fp, b)),
+            ("hour_ul_fp", true, |r, b| flip_row(&mut r.hour_ul_fp, b)),
+        ]
+    }
+
+    #[test]
+    fn every_report_field_reaches_the_digest_and_merges_exactly() {
+        // A new `HomeReport` field changes this size: hash it in
+        // `fnv_report`, fold it where it belongs, list it in
+        // `report_fields`, and only then move the pin.
+        assert_eq!(
+            std::mem::size_of::<HomeReport>(),
+            1064,
+            "HomeReport changed shape: hash, fold and list the new field"
+        );
+        let observed = |r: &HomeReport| {
+            let mut d = FleetDigest::empty();
+            d.observe(r);
+            d
+        };
+        let mut rng = StdRng::seed_from_u64(0x3601);
+        for _ in 0..200 {
+            let traced = random_report(&mut rng);
+            let traced = HomeReport { days: traced.days.max(1), ..traced };
+            let paper = HomeReport { days: 0, ..traced };
+            for (name, scenario, flip) in report_fields() {
+                let b: u64 = rng.random();
+                for base in [traced, paper] {
+                    let mut flipped = base;
+                    flip(&mut flipped, b);
+                    assert_ne!(flipped, base, "{name}: bit {b} did not flip");
+                    let (before, after) = (observed(&base), observed(&flipped));
+                    if scenario && base.days == 0 {
+                        assert_eq!(after, before, "{name} moved a paper-default digest");
+                    } else {
+                        assert_ne!(
+                            after.digest(),
+                            before.digest(),
+                            "{name} bit {b} missed the hash at days {}",
+                            base.days
+                        );
+                    }
+                }
+            }
+        }
+
+        // Any chunking of a random street, merged in any association,
+        // is the sequential fold: every accumulator is exact.
+        let street: Vec<HomeReport> = (0..256).map(|_| random_report(&mut rng)).collect();
+        let mut sequential = FleetDigest::empty();
+        for r in &street {
+            sequential.observe(r);
+        }
+        for _ in 0..50 {
+            let mut parts = Vec::new();
+            let mut rest = &street[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.random_range(1..rest.len() + 1));
+                let mut part = FleetDigest::empty();
+                for r in chunk {
+                    part.observe(r);
+                }
+                parts.push(part);
+                rest = tail;
+            }
+            while parts.len() > 1 {
+                let i = rng.random_range(0..parts.len() - 1);
+                let right = parts.remove(i + 1);
+                parts[i].merge(&right);
+            }
+            assert_eq!(parts[0], sequential);
+        }
     }
 
     #[test]

@@ -135,6 +135,14 @@ fn traced_scenario_fleet_is_deterministic_across_workers_chunks_and_modes() {
     let reports = Pool::with(4, |pool| traced.reports(pool));
     assert_eq!(refold(&reports).digest(), reference.digest(), "traced reports != streamed digest");
 
+    // The recorded traced street: the scenario engine's output stays
+    // bit-for-bit where it was.
+    assert_eq!(
+        format!("{:016x}", reference.digest()),
+        "5daed0ce8811ec0a",
+        "24-home 3-day traced digest drifted from the recorded baseline"
+    );
+
     // A different seed is a different street.
     let reseeded = Pool::with(4, |pool| {
         Fleet::new(homes, move |i| scenario_spec(i, days, DEFAULT_SCENARIO_SEED ^ 0xdead)).run(pool)
@@ -186,10 +194,10 @@ fn home_traffic_is_entirely_virtual() {
     // At minimum: playlist + segment fetches + uploads + device
     // upstream connections all dialed through the registry.
     assert!(stats.tcp_connects > 2 + devices, "{stats:?}");
-    // UDP: the discovery listener plus one ephemeral socket per
-    // announcement sent.
-    assert!(stats.udp_binds > devices, "{stats:?}");
-    assert!(stats.datagrams >= devices, "{stats:?}");
+    // UDP: the discovery listener plus one beacon socket per phone,
+    // and one beacon per phone before the home's one session.
+    assert_eq!(stats.udp_binds, 1 + devices, "{stats:?}");
+    assert_eq!(stats.datagrams, devices, "{stats:?}");
 }
 
 #[test]

@@ -13,9 +13,10 @@
 //! * [`HomeSpec`] bundles the link profiles (shared ADSL buckets,
 //!   shared Wi-Fi medium, per-phone 3G rates, 3GOL allowance) and the
 //!   workload (VoD prebuffer + concurrent photo upload);
-//! * [`Home::run`] spins up the origin, the device proxies (with
-//!   discovery announcers), and the client-side HLS proxy, drives the
-//!   workload, and reports the per-home speedups over ADSL alone.
+//! * [`Home::run`] brings the household up once (origin, discovery,
+//!   device proxies, shared media), drives the workload over paths
+//!   found by on-demand discovery, and reports the per-home speedups
+//!   over ADSL alone.
 //!
 //! Every throttle a home's transfers cross is *shared*: the ADSL
 //! down/up buckets are one pair per home ([`PathTarget::SharedGateway`])
@@ -39,7 +40,7 @@ use threegol_http::{HttpError, Request};
 use crate::capacity::{CapacitySource, CellProfile, G3Source};
 use crate::client::{PathTarget, ThreegolClient};
 use crate::device::DeviceProxy;
-use crate::discovery::Discovery;
+use crate::discovery::{Advertisement, Announcer, Discovery};
 use crate::hlsproxy::HlsProxy;
 use crate::origin::OriginServer;
 use crate::throttle::SharedRateLimit;
@@ -117,9 +118,10 @@ pub const SCENARIO_FP_SCALE: f64 = 1024.0;
 /// How a home's workload is driven (DESIGN.md §14).
 ///
 /// `PaperDefault` is the original fixed script — one VoD prebuffer
-/// racing one photo-upload batch at [`HomeSpec::hour`] — preserved
-/// operation-for-operation, so a fleet of `PaperDefault` homes
-/// reproduces the pre-scenario digest bit for bit. `Traced` drives the
+/// racing one photo-upload batch at [`HomeSpec::hour`] — whose every
+/// transfer plays out as it did before scenarios existed, so a fleet of
+/// `PaperDefault` homes reproduces the pre-scenario digest bit for bit.
+/// Both run on the same household bring-up. `Traced` drives the
 /// home from the per-home trace stream in `threegol-traces::scenario`
 /// over simulated days of virtual time, with device churn and the §6
 /// allowance loop run live.
@@ -428,10 +430,17 @@ impl HomeReport {
 pub struct Home;
 
 impl Home {
-    /// Bring up the home and drive its workload: a VoD prebuffer
+    /// Bring up the home and drive its workload. Both scripts bring
+    /// the origin, discovery, phones and shared media up once, and
+    /// before each session every present phone with quota sends one
+    /// beacon: a session's paths are the gateway plus the phones
+    /// discovery then admits, so a home whose phones hold no quota
+    /// runs over ADSL alone.
+    ///
+    /// [`Scenario::PaperDefault`] runs one session: a VoD prebuffer
     /// through the client-side HLS proxy, concurrent with a photo
-    /// upload — both multipath over the gateway and every discovered
-    /// device, all sharing the home's ADSL and Wi-Fi media.
+    /// upload. [`Scenario::Traced`] runs the multi-day scenario engine
+    /// ([`crate::scenario`]).
     ///
     /// Must run inside a `tokio` runtime; any number of homes may run
     /// in the same runtime (distinct [`HomeNet`] namespaces) or in
@@ -445,67 +454,17 @@ impl Home {
 
     /// The original fixed script (see [`Scenario::PaperDefault`]).
     async fn run_paper(spec: &HomeSpec) -> Result<HomeReport, HttpError> {
-        let net = HomeNet::new((spec.index % (1 << 16)) as u16);
-
-        // Origin, behind the home's view of the WAN.
-        let ladder = vec![VideoQuality::new("Q1", spec.video_bps)];
-        let origin = Arc::new(OriginServer::new(&ladder, spec.video_secs, spec.segment_secs));
-        let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
-
-        // The home's broadcast domain: a discovery listener the
-        // announcers inside this subnet reach, and nobody else.
-        let discovery = Discovery::bind(&net.discovery().to_string()).await?;
-        let discovery_addr = discovery.local_addr()?;
-
-        // Device proxies with quota-gated announcers: every phone's 3G
-        // rates come from the spec's capacity source at the home's
-        // hour — a private pipe or a per-phone share of a shared cell.
-        let (g3_down, g3_up) = spec.g3.phone_limits(spec.hour as f64);
-        for i in 0..spec.devices {
-            let device = Arc::new(DeviceProxy::new(
-                format!("home{}-phone-{i}", spec.index),
-                origin_addr,
-                g3_down,
-                g3_up,
-                spec.allowance_bytes,
-            ));
-            let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await?;
-            device.spawn_announcer(discovery_addr, lan_addr, Duration::from_millis(100));
-        }
-
-        // Browse until every phone has advertised (quota > 0 at start,
-        // so all of them will; virtual time makes this deterministic).
-        while discovery.admissible().len() < spec.devices {
-            tokio::time::sleep(Duration::from_millis(10)).await;
-        }
-
-        // The home's shared media.
-        let wifi = SharedRateLimit::from_bps(spec.wifi_bps as u64);
-        let adsl_down = SharedRateLimit::from_bps(spec.adsl_down_bps as u64);
-        let adsl_up = SharedRateLimit::from_bps(spec.adsl_up_bps as u64);
-        let make_paths = || -> Vec<PathTarget> {
-            let mut paths = vec![PathTarget::SharedGateway {
-                origin: origin_addr,
-                down: adsl_down.clone(),
-                up: adsl_up.clone(),
-            }];
-            paths.extend(
-                discovery
-                    .admissible()
-                    .into_iter()
-                    .map(|ad| PathTarget::Device { addr: ad.proxy_addr }),
-            );
-            paths
-        };
+        let rig = Rig::bring_up(spec, &vec![spec.allowance_bytes; spec.devices]).await?;
+        let paths = rig.paths(spec, spec.hour as f64, &vec![true; spec.devices]).await;
 
         // The client-side HLS proxy the player points at.
-        let hls =
-            Arc::new(HlsProxy::new(ThreegolClient::new(make_paths()).with_wifi(wifi.clone())));
-        let (proxy_addr, _proxy_task) = hls.clone().spawn(&net.client_proxy().to_string()).await?;
+        let hls = Arc::new(HlsProxy::new(rig.client(paths.clone())));
+        let (proxy_addr, _proxy_task) =
+            hls.clone().spawn(&rig.net.client_proxy().to_string()).await?;
 
         // The uploader is a second client-component app in the same
-        // home: its own scheduler, but the same shared media.
-        let uploader = ThreegolClient::new(make_paths()).with_wifi(wifi.clone());
+        // home: its own scheduler, but the same paths and shared media.
+        let uploader = rig.client(paths);
 
         // Drive the two transactions concurrently: the upload runs as
         // its own task while this task plays the VoD prebuffer.
@@ -552,6 +511,121 @@ impl Home {
             upload_wasted_bytes: upload_report.wasted_bytes,
             ..HomeReport::empty(spec.index)
         })
+    }
+}
+
+/// A household brought up once, which both scripts run their sessions
+/// on: the origin, the discovery listener, each phone's device proxy
+/// and beacon sender, and the shared media.
+pub(crate) struct Rig {
+    /// The home's address namespace.
+    pub(crate) net: HomeNet,
+    origin: SocketAddr,
+    discovery: Discovery,
+    /// The phones' device proxies, by device index.
+    pub(crate) devices: Vec<Arc<DeviceProxy>>,
+    /// Each phone's LAN address and beacon sender, by device index.
+    beacons: Vec<(SocketAddr, Announcer)>,
+    wifi: SharedRateLimit,
+    adsl_down: SharedRateLimit,
+    adsl_up: SharedRateLimit,
+}
+
+impl Rig {
+    /// Bring up the origin and the discovery listener, then per phone a
+    /// device proxy holding `allowances[i]` bytes of quota and one
+    /// beacon sender, then the shared Wi-Fi and ADSL buckets. Every
+    /// phone starts on the capacity source's rates at `spec.hour`.
+    pub(crate) async fn bring_up(spec: &HomeSpec, allowances: &[f64]) -> Result<Rig, HttpError> {
+        let net = HomeNet::new((spec.index % (1 << 16)) as u16);
+
+        // Origin, behind the home's view of the WAN.
+        let ladder = vec![VideoQuality::new("Q1", spec.video_bps)];
+        let origin = Arc::new(OriginServer::new(&ladder, spec.video_secs, spec.segment_secs));
+        let (origin_addr, _origin_task) = origin.spawn(&net.origin().to_string()).await?;
+
+        // The home's broadcast domain: a discovery listener the
+        // beacons inside this subnet reach, and nobody else.
+        let discovery = Discovery::bind(&net.discovery().to_string()).await?;
+        let discovery_addr = discovery.local_addr()?;
+
+        let (g3_down, g3_up) = spec.g3.phone_limits(spec.hour as f64);
+        let mut devices = Vec::with_capacity(allowances.len());
+        let mut beacons = Vec::with_capacity(allowances.len());
+        for (i, &allowance) in allowances.iter().enumerate() {
+            let device = Arc::new(DeviceProxy::new(
+                format!("home{}-phone-{i}", spec.index),
+                origin_addr,
+                g3_down,
+                g3_up,
+                allowance,
+            ));
+            let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await?;
+            devices.push(device);
+            beacons.push((lan_addr, Announcer::bind(discovery_addr).await?));
+        }
+
+        // The home's shared media: one pair of ADSL buckets and one
+        // Wi-Fi medium for the whole run.
+        Ok(Rig {
+            net,
+            origin: origin_addr,
+            discovery,
+            devices,
+            beacons,
+            wifi: SharedRateLimit::from_bps(spec.wifi_bps as u64),
+            adsl_down: SharedRateLimit::from_bps(spec.adsl_down_bps as u64),
+            adsl_up: SharedRateLimit::from_bps(spec.adsl_up_bps as u64),
+        })
+    }
+
+    /// Assemble a session's paths (§2.4): retune every phone's 3G
+    /// bearer to the capacity source's rates at `hour`, send one beacon
+    /// for each phone that is `present` and holds quota, give the
+    /// datagrams 10 ms to land, and read the admissible set Φ behind
+    /// the gateway. A phone that left the Wi-Fi or ran out of quota is
+    /// not announced, so its discovery entry ages out (3 s TTL) and the
+    /// session runs on the paths that remain: ADSL alone at worst.
+    pub(crate) async fn paths(
+        &self,
+        spec: &HomeSpec,
+        hour: f64,
+        present: &[bool],
+    ) -> Vec<PathTarget> {
+        let (g3_down, g3_up) = spec.g3.phone_limits(hour);
+        for device in &self.devices {
+            device.set_rates(g3_down, g3_up);
+        }
+        for ((device, (lan_addr, announcer)), &here) in
+            self.devices.iter().zip(&self.beacons).zip(present)
+        {
+            if here && device.should_advertise() {
+                let ad = Advertisement {
+                    name: device.name.clone(),
+                    proxy_addr: *lan_addr,
+                    available_bytes: device.available_bytes(),
+                };
+                let _ = announcer.announce(&ad).await;
+            }
+        }
+        tokio::time::sleep(Duration::from_millis(10)).await;
+        let mut paths = vec![PathTarget::SharedGateway {
+            origin: self.origin,
+            down: self.adsl_down.clone(),
+            up: self.adsl_up.clone(),
+        }];
+        paths.extend(
+            self.discovery
+                .admissible()
+                .into_iter()
+                .map(|ad| PathTarget::Device { addr: ad.proxy_addr }),
+        );
+        paths
+    }
+
+    /// A client-component app on `paths`, crossing the home's Wi-Fi.
+    pub(crate) fn client(&self, paths: Vec<PathTarget>) -> ThreegolClient {
+        ThreegolClient::new(paths).with_wifi(self.wifi.clone())
     }
 }
 
@@ -642,6 +716,21 @@ mod tests {
         assert_eq!(report.upload_device_bytes, 0.0);
         assert_eq!(report.vod_device_bytes, 0.0);
         assert!(report.vod_gain < 1.5, "vod gain {}", report.vod_gain);
+    }
+
+    #[tokio::test]
+    async fn home_whose_phones_hold_no_quota_runs_over_adsl_alone() {
+        // No phone holds quota, so none ever beacons: the session must
+        // not wait on discovery but run over the gateway alone.
+        let spec = HomeSpec { allowance_bytes: 0.0, ..HomeSpec::paper_default(4) };
+        let report = tokio::time::timeout(Duration::from_secs(3600), Home::run(&spec))
+            .await
+            .expect("a home without quota never finished")
+            .unwrap();
+        assert_eq!(report.vod_bytes, 500_000.0);
+        assert_eq!(report.upload_bytes, 300_000.0);
+        assert_eq!(report.vod_device_bytes, 0.0);
+        assert_eq!(report.upload_device_bytes, 0.0);
     }
 
     #[test]

@@ -43,7 +43,9 @@
 //!   ADSL alone — either the fixed VoD + photo-upload script
 //!   ([`home::Scenario::PaperDefault`]) or a trace-driven multi-day
 //!   scenario with device churn and the live §6 allowance loop
-//!   ([`home::Scenario::Traced`], run by [`scenario`]).
+//!   ([`home::Scenario::Traced`], run by [`scenario`]). Both workloads
+//!   bring the home up the same way and build every session's paths
+//!   by on-demand discovery: one beacon per present phone with quota.
 
 #![warn(missing_docs)]
 

@@ -14,11 +14,12 @@
 //! Three design points keep a week of virtual time as cheap as the
 //! single-shot script, and byte-reproducible:
 //!
-//! * **Announce-on-demand.** The paper path's free-running 100 ms
-//!   announcers would emit ~10⁶ beacons per simulated week. The engine
-//!   instead beacons once per present, quota-positive phone right
-//!   before each session; the 3 s discovery TTL expires the entries in
-//!   the (hours-long) gaps between sessions, which is exactly how a
+//! * **Announce-on-demand.** The engine runs on the same household rig
+//!   as the paper script: the home comes up once, and right before each
+//!   session every present, quota-positive phone sends one beacon. A
+//!   phone beaconing every 100 ms would send ~6·10⁶ datagrams per
+//!   simulated week. The 3 s discovery TTL expires the entries in the
+//!   (hours-long) gaps between sessions, which is exactly how a
 //!   departed or exhausted phone withdraws its path.
 //! * **Events over polling.** The virtual clock jumps straight to the
 //!   next scheduled event, so wall cost is O(sessions), not O(days).
@@ -26,27 +27,20 @@
 //!   `i64` fixed-point slots ([`crate::home::SCENARIO_FP_SCALE`]) so
 //!   the fleet digest merges them exactly associatively.
 
-use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use tokio::time::Instant;
 
 use threegol_caps::{AllowanceEstimator, LiveAllowance};
-use threegol_hls::VideoQuality;
 use threegol_http::HttpError;
 use threegol_traces::scenario::{device_free_history, home_day, HomeEvent, ScenarioConfig};
 
 use crate::capacity::CapacitySource;
-use crate::client::{PathTarget, ThreegolClient};
 use crate::device::DeviceProxy;
-use crate::discovery::{Advertisement, Announcer, Discovery};
 use crate::home::{
-    photo_body, HomeNet, HomeReport, HomeSpec, MAX_SCENARIO_DAYS, NO_CELL, SCENARIO_FP_SCALE,
+    photo_body, HomeReport, HomeSpec, Rig, MAX_SCENARIO_DAYS, NO_CELL, SCENARIO_FP_SCALE,
 };
-use crate::origin::OriginServer;
-use crate::throttle::SharedRateLimit;
 
 const DAY_SECS: f64 = 86_400.0;
 
@@ -97,51 +91,22 @@ pub async fn run_with_config(
         (1..=MAX_SCENARIO_DAYS as u16).contains(&days),
         "scenario must run 1..={MAX_SCENARIO_DAYS} days, got {days}"
     );
-    let net = HomeNet::new((spec.index % (1 << 16)) as u16);
-
-    // Origin and discovery, exactly like the paper script.
-    let ladder = vec![VideoQuality::new("Q1", spec.video_bps)];
-    let origin = Arc::new(OriginServer::new(&ladder, spec.video_secs, spec.segment_secs));
-    let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
-    let discovery = Discovery::bind(&net.discovery().to_string()).await?;
-    let discovery_addr = discovery.local_addr()?;
-
-    // Phones. Each starts with the live estimator's day-1 allowance
-    // fit on its seeded free-capacity history; the months the run will
-    // live through are pre-drawn from the same prefix-stable series so
-    // month-boundary refits replay numbers the offline backtest can
-    // reproduce exactly.
+    // Each phone's live allowance, fit on its seeded free-capacity
+    // history; the months the run will live through are pre-drawn from
+    // the same prefix-stable series so month-boundary refits replay
+    // numbers the offline backtest can reproduce exactly. Each phone
+    // comes up holding its day-1 grant.
     let estimator = AllowanceEstimator::paper();
     let lived_months = days as usize / 30 + 1;
-    let (g3_down0, g3_up0) = spec.g3.phone_limits(spec.hour as f64);
-    let mut devices: Vec<Arc<DeviceProxy>> = Vec::with_capacity(spec.devices);
-    let mut lan_addrs: Vec<SocketAddr> = Vec::with_capacity(spec.devices);
-    let mut announcers: Vec<Announcer> = Vec::with_capacity(spec.devices);
     let mut allowances: Vec<LiveAllowance> = Vec::with_capacity(spec.devices);
     let mut future_months: Vec<Vec<f64>> = Vec::with_capacity(spec.devices);
     for i in 0..spec.devices {
         let full = device_free_history(config, spec.index, i, config.history_months + lived_months);
-        let live = LiveAllowance::new(estimator, full[..config.history_months].to_vec());
-        let device = Arc::new(DeviceProxy::new(
-            format!("home{}-phone-{i}", spec.index),
-            origin_addr,
-            g3_down0,
-            g3_up0,
-            live.daily_allowance(),
-        ));
-        let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await?;
-        devices.push(device);
-        lan_addrs.push(lan_addr);
-        announcers.push(Announcer::bind(discovery_addr).await?);
+        allowances.push(LiveAllowance::new(estimator, full[..config.history_months].to_vec()));
         future_months.push(full[config.history_months..].to_vec());
-        allowances.push(live);
     }
-
-    // The home's shared media (one pair of ADSL buckets, one Wi-Fi
-    // medium for the whole run — links persist across days).
-    let wifi = SharedRateLimit::from_bps(spec.wifi_bps as u64);
-    let adsl_down = SharedRateLimit::from_bps(spec.adsl_down_bps as u64);
-    let adsl_up = SharedRateLimit::from_bps(spec.adsl_up_bps as u64);
+    let mut granted_today: Vec<f64> = allowances.iter().map(|a| a.daily_allowance()).collect();
+    let rig = Rig::bring_up(spec, &granted_today).await?;
 
     let mut report = HomeReport::empty(spec.index);
     report.cell = spec.g3.cell().unwrap_or(NO_CELL);
@@ -156,7 +121,6 @@ pub async fn run_with_config(
     let start_offset_secs = spec.hour as f64 * 3600.0;
 
     let mut present = vec![true; spec.devices];
-    let mut granted_today: Vec<f64> = allowances.iter().map(|a| a.daily_allowance()).collect();
     report.granted_allowance_fp += granted_today.iter().map(|&g| fp(g)).sum::<i64>();
     let mut month_cursor = 0usize;
     let mut vod_baseline_secs = 0.0;
@@ -170,13 +134,13 @@ pub async fn run_with_config(
             advance_to(&epoch, day as f64 * DAY_SECS - start_offset_secs).await;
             let month_end = day % 30 == 0;
             for i in 0..spec.devices {
-                close_device_day(&mut report, &devices[i], granted_today[i]);
+                close_device_day(&mut report, &rig.devices[i], granted_today[i]);
                 if month_end {
                     allowances[i].finish_month(future_months[i][month_cursor]);
                 }
                 granted_today[i] = allowances[i].daily_allowance();
                 report.granted_allowance_fp += fp(granted_today[i]);
-                devices[i].roll_over(granted_today[i]);
+                rig.devices[i].roll_over(granted_today[i]);
             }
             if month_end {
                 month_cursor += 1;
@@ -192,88 +156,57 @@ pub async fn run_with_config(
             match ev.event {
                 HomeEvent::Leave { device } => present[device] = false,
                 HomeEvent::Join { device } => present[device] = true,
-                HomeEvent::Vod => {
-                    let day_idx = day as usize;
-                    let hour_idx = ((ev.time_secs / 3600.0) as usize).min(23);
-                    let paths = session_paths(
-                        spec,
-                        ev.time_secs / 3600.0,
-                        origin_addr,
-                        &adsl_down,
-                        &adsl_up,
-                        &devices,
-                        &lan_addrs,
-                        &announcers,
-                        &present,
-                        &discovery,
-                    )
-                    .await;
+                HomeEvent::Vod | HomeEvent::Upload { .. } => {
+                    let paths = rig.paths(spec, ev.time_secs / 3600.0, &present).await;
                     report.sessions += 1;
                     if paths.len() == 1 {
                         report.adsl_only_sessions += 1;
                     }
-                    let client = ThreegolClient::new(paths).with_wifi(wifi.clone());
-                    let t0 = Instant::now();
-                    let (_playlist, bodies, tr) = client.fetch_hls("/q1/index.m3u8").await?;
-                    let secs = t0.elapsed().as_secs_f64();
-                    let bytes: f64 = bodies.iter().map(|b| b.len() as f64).sum();
-                    report.vod_bytes += bytes;
-                    report.vod_secs += secs;
-                    vod_baseline_secs += bytes * 8.0 / spec.adsl_down_bps;
-                    let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
-                    report.vod_device_bytes += onload;
-                    report.day_dl_fp[day_idx] += fp(onload);
-                    report.hour_dl_fp[hour_idx] += fp(onload);
-                }
-                HomeEvent::Upload { photos } => {
+                    let client = rig.client(paths);
                     let day_idx = day as usize;
                     let hour_idx = ((ev.time_secs / 3600.0) as usize).min(23);
-                    let paths = session_paths(
-                        spec,
-                        ev.time_secs / 3600.0,
-                        origin_addr,
-                        &adsl_down,
-                        &adsl_up,
-                        &devices,
-                        &lan_addrs,
-                        &announcers,
-                        &present,
-                        &discovery,
-                    )
-                    .await;
-                    report.sessions += 1;
-                    if paths.len() == 1 {
-                        report.adsl_only_sessions += 1;
+                    if let HomeEvent::Upload { photos } = ev.event {
+                        let batch: Vec<(String, Bytes)> = (0..photos)
+                            .map(|i| {
+                                (
+                                    format!("home{}-d{day}-IMG_{i:04}.jpg", spec.index),
+                                    photo_body(i, spec.photo_bytes),
+                                )
+                            })
+                            .collect();
+                        let bytes: f64 = batch.iter().map(|(_, d)| d.len() as f64).sum();
+                        let t0 = Instant::now();
+                        let tr = client.upload_photos(batch).await?;
+                        let secs = t0.elapsed().as_secs_f64();
+                        report.upload_bytes += bytes;
+                        report.upload_secs += secs;
+                        upload_baseline_secs += bytes * 8.0 / spec.adsl_up_bps;
+                        let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
+                        report.upload_device_bytes += onload;
+                        report.upload_wasted_bytes += tr.wasted_bytes;
+                        report.day_ul_fp[day_idx] += fp(onload);
+                        report.hour_ul_fp[hour_idx] += fp(onload);
+                    } else {
+                        let t0 = Instant::now();
+                        let (_playlist, bodies, tr) = client.fetch_hls("/q1/index.m3u8").await?;
+                        let secs = t0.elapsed().as_secs_f64();
+                        let bytes: f64 = bodies.iter().map(|b| b.len() as f64).sum();
+                        report.vod_bytes += bytes;
+                        report.vod_secs += secs;
+                        vod_baseline_secs += bytes * 8.0 / spec.adsl_down_bps;
+                        let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
+                        report.vod_device_bytes += onload;
+                        report.day_dl_fp[day_idx] += fp(onload);
+                        report.hour_dl_fp[hour_idx] += fp(onload);
                     }
-                    let client = ThreegolClient::new(paths).with_wifi(wifi.clone());
-                    let batch: Vec<(String, Bytes)> = (0..photos)
-                        .map(|i| {
-                            (
-                                format!("home{}-d{day}-IMG_{i:04}.jpg", spec.index),
-                                photo_body(i, spec.photo_bytes),
-                            )
-                        })
-                        .collect();
-                    let bytes: f64 = batch.iter().map(|(_, d)| d.len() as f64).sum();
-                    let t0 = Instant::now();
-                    let tr = client.upload_photos(batch).await?;
-                    let secs = t0.elapsed().as_secs_f64();
-                    report.upload_bytes += bytes;
-                    report.upload_secs += secs;
-                    upload_baseline_secs += bytes * 8.0 / spec.adsl_up_bps;
-                    let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
-                    report.upload_device_bytes += onload;
-                    report.upload_wasted_bytes += tr.wasted_bytes;
-                    report.day_ul_fp[day_idx] += fp(onload);
-                    report.hour_ul_fp[hour_idx] += fp(onload);
                 }
             }
         }
     }
 
     // The last day's books (no further roll-over to trigger them).
-    for i in 0..spec.devices {
-        close_device_day(&mut report, &devices[i], granted_today[i]);
+    for (device, &granted) in rig.devices.iter().zip(&granted_today) {
+        close_device_day(&mut report, device, granted);
     }
 
     // Gains against the ADSL line carrying the same bytes alone,
@@ -285,55 +218,14 @@ pub async fn run_with_config(
     Ok(report)
 }
 
-/// Build a session's path set: retune the 3G bearers to this hour's
-/// cell share, beacon for every present, quota-positive phone, give the
-/// datagrams a beat to land, and read the admissible set Φ. A phone
-/// that left the Wi-Fi or exhausted its allowance simply isn't
-/// announced, so its discovery entry ages out (3 s TTL) and transfers
-/// degrade to the remaining paths — ADSL-only in the worst case.
-#[allow(clippy::too_many_arguments)]
-async fn session_paths(
-    spec: &HomeSpec,
-    hour_frac: f64,
-    origin_addr: SocketAddr,
-    adsl_down: &SharedRateLimit,
-    adsl_up: &SharedRateLimit,
-    devices: &[Arc<DeviceProxy>],
-    lan_addrs: &[SocketAddr],
-    announcers: &[Announcer],
-    present: &[bool],
-    discovery: &Discovery,
-) -> Vec<PathTarget> {
-    let (g3_down, g3_up) = spec.g3.phone_limits(hour_frac);
-    for device in devices {
-        device.set_rates(g3_down, g3_up);
-    }
-    for i in 0..devices.len() {
-        if present[i] && devices[i].should_advertise() {
-            let ad = Advertisement {
-                name: devices[i].name.clone(),
-                proxy_addr: lan_addrs[i],
-                available_bytes: devices[i].available_bytes(),
-            };
-            let _ = announcers[i].announce(&ad).await;
-        }
-    }
-    tokio::time::sleep(Duration::from_millis(10)).await;
-    let mut paths = vec![PathTarget::SharedGateway {
-        origin: origin_addr,
-        down: adsl_down.clone(),
-        up: adsl_up.clone(),
-    }];
-    paths.extend(
-        discovery.admissible().into_iter().map(|ad| PathTarget::Device { addr: ad.proxy_addr }),
-    );
-    paths
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use crate::discovery::{Advertisement, Announcer, Discovery};
     use crate::home::{Home, Scenario, Tier};
+    use crate::origin::OriginServer;
     use crate::throttle::RateLimit;
     use threegol_http::codec::HttpStream;
     use threegol_http::Request;
