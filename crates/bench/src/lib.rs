@@ -48,7 +48,6 @@ pub mod exec;
 pub mod experiment;
 pub mod experiments;
 pub mod fleet;
-pub mod relay;
 pub mod util;
 
 pub use exec::{fold, map, resolve_workers, Pool};

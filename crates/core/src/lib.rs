@@ -16,9 +16,9 @@
 //! * [`HomeNetwork`] — the simulation topology of one household:
 //!   origin server, ADSL line, Wi-Fi LAN and the local cellular
 //!   deployment with attached phones;
-//! * [`TransactionRunner`] — drives a `threegol-sched` scheduler over
-//!   the fluid simulation, with per-request overheads and RRC startup
-//!   delays;
+//! * [`TransactionRunner`] — the fluid-simulation transport for a
+//!   `threegol-sched` transaction, with per-request overheads and RRC
+//!   startup delays;
 //! * [`VodExperiment`] / [`UploadExperiment`] — the §5 evaluation
 //!   harnesses (pre-buffering, full-download and photo-upload timing,
 //!   with/without 3GOL, warm/cold radio, 1–2 phones);
@@ -40,7 +40,7 @@ pub use home::{HomeNetwork, WifiStandard};
 pub use metrics::{reduction_percent, speedup};
 pub use mptcp::mptcp_vod_download_secs;
 pub use permits::{Permit, PermitBackend};
-pub use runner::{PathSpec, TransactionResult, TransactionRunner};
+pub use runner::{PathSpec, TransactionRunner};
 pub use service::{BoostedVideo, DayOfVideos, Mode, ServicePolicy};
 pub use upload::{UploadExperiment, UploadOutcome};
 pub use vod::{RadioStart, VodExperiment, VodOutcome};

@@ -1,14 +1,13 @@
 //! Driving a multipath scheduler over the fluid simulation.
 //!
-//! [`TransactionRunner`] is the simulation-side twin of the live
-//! prototype's transport layer: it executes the scheduler's
-//! [`Command`]s as fluid flows, injects per-request overheads and RRC
-//! startup delays, measures per-item completion times, and accounts
-//! wasted (aborted-duplicate) bytes.
+//! [`TransactionRunner`] is the simulation-side transport behind the
+//! shared [`Transaction`] book, the twin of the live client in
+//! `threegol-proxy`: a copy waits out its per-request overhead (plus
+//! the RRC startup delay on a path's first transfer) and then runs as
+//! a fluid flow. The book keeps the accounts; the runner maps the
+//! scheduler's ticks onto virtual-time wakeups.
 
-use std::collections::HashMap;
-
-use threegol_sched::{Command, MultipathScheduler};
+use threegol_sched::{MultipathScheduler, Transaction, TransferReport, Transport};
 use threegol_simnet::{FlowId, LinkId, SimEvent, SimTime, Simulation, WakeToken};
 
 /// One path available to a transaction.
@@ -31,25 +30,6 @@ impl PathSpec {
     }
 }
 
-/// Result of a completed transaction.
-#[derive(Debug, Clone)]
-pub struct TransactionResult {
-    /// Total transaction time (from start to last item completion),
-    /// seconds.
-    pub total_secs: f64,
-    /// Completion time of each item relative to transaction start
-    /// (first copy to finish), seconds.
-    pub item_completion_secs: Vec<f64>,
-    /// Bytes transferred by aborted duplicate copies.
-    pub wasted_bytes: f64,
-    /// Payload bytes moved per path (completed + partial aborted).
-    pub bytes_per_path: Vec<f64>,
-    /// Start commands executed.
-    pub starts: usize,
-    /// Abort commands executed.
-    pub aborts: usize,
-}
-
 /// Errors the runner can surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunnerError {
@@ -67,12 +47,6 @@ impl std::fmt::Display for RunnerError {
 }
 
 impl std::error::Error for RunnerError {}
-
-struct InFlight {
-    path: usize,
-    item: usize,
-    issued_at: SimTime,
-}
 
 /// Executes one transaction on a [`Simulation`].
 pub struct TransactionRunner {
@@ -94,159 +68,133 @@ impl TransactionRunner {
         &self,
         sim: &mut Simulation,
         sched: &mut dyn MultipathScheduler,
-    ) -> Result<TransactionResult, RunnerError> {
-        let t0 = sim.now();
-        let mut flows: HashMap<FlowId, InFlight> = HashMap::new();
-        let mut pending: HashMap<u64, InFlight> = HashMap::new();
-        let mut path_flow: Vec<Option<FlowId>> = vec![None; self.paths.len()];
-        let mut path_started: Vec<bool> = vec![false; self.paths.len()];
-        let mut next_token = 0u64;
-        let mut completion = vec![f64::NAN; self.item_sizes.len()];
-        let mut wasted = 0.0;
-        let mut bytes_per_path = vec![0.0; self.paths.len()];
-        let mut starts = 0usize;
-        let mut aborts = 0usize;
-        // Earliest scheduler tick already queued (absolute sim time).
-        let mut tick_scheduled: Option<SimTime> = None;
-        /// High bit distinguishes scheduler-tick wakeups from
-        /// transfer-start wakeups.
-        const TICK_BIT: u64 = 1 << 63;
+    ) -> Result<TransferReport, RunnerError> {
+        let n = self.paths.len();
+        let t0 = sim.now().secs();
+        let mut fluid = Fluid {
+            sim,
+            paths: &self.paths,
+            sizes: &self.item_sizes,
+            slots: vec![None; n],
+            warm: vec![false; n],
+            next_token: 0,
+            armed: None,
+        };
+        let mut book = Transaction::start(sched, n, self.item_sizes.len(), t0, &mut fluid);
+        fluid.arm(book.next_tick(t0));
 
-        // Execute a batch of scheduler commands.
-        macro_rules! exec {
-            ($cmds:expr) => {
-                for cmd in $cmds {
-                    match cmd {
-                        Command::Start { path, item } => {
-                            starts += 1;
-                            let spec = &self.paths[path];
-                            let mut delay = spec.per_item_overhead_secs;
-                            if !path_started[path] {
-                                delay += spec.startup_delay_secs;
-                                path_started[path] = true;
-                            }
-                            let token = next_token;
-                            next_token += 1;
-                            pending.insert(token, InFlight { path, item, issued_at: sim.now() });
-                            sim.schedule_wakeup_in(delay, WakeToken(token));
-                        }
-                        Command::Abort { path, item } => {
-                            aborts += 1;
-                            if let Some(fid) = path_flow[path].take() {
-                                let rec = sim.cancel_flow(fid).expect("flow active");
-                                let inflight = flows.remove(&fid).expect("tracked");
-                                debug_assert_eq!(inflight.item, item);
-                                wasted += rec.transferred_bytes();
-                                bytes_per_path[path] += rec.transferred_bytes();
-                            } else {
-                                // The transfer had not yet started (still in
-                                // its overhead window): drop the pending start.
-                                pending.retain(|_, p| !(p.path == path && p.item == item));
-                            }
-                        }
-                    }
-                }
-            };
-        }
-
-        // Arm a scheduler tick if the policy is time-driven (e.g. the
-        // playout-aware scheduler's deadline gates).
-        macro_rules! arm_tick {
-            () => {
-                if let Some(at_rel) = sched.next_wakeup() {
-                    let at = t0 + at_rel.max(0.0);
-                    // Strictly-future fire time so tick storms cannot
-                    // freeze virtual time at one instant.
-                    let due = at.max(sim.now() + 1e-6);
-                    if tick_scheduled.map_or(true, |t| due < t) {
-                        sim.schedule_wakeup(due, WakeToken(TICK_BIT | next_token));
-                        tick_scheduled = Some(due);
-                        next_token += 1;
-                    }
-                }
-            };
-        }
-
-        exec!(sched.start());
-        arm_tick!();
-
-        let mut loop_guard: u64 = 0;
-        while !sched.is_done() {
-            loop_guard += 1;
-            if loop_guard > 5_000_000 {
-                panic!(
-                    "runner stuck at t={}: pending={}, ticks={:?}, flows={}, starts={starts}, aborts={aborts}",
-                    sim.now(),
-                    pending.len(),
-                    tick_scheduled,
-                    flows.len(),
-                );
+        let mut events: u64 = 0;
+        while !book.is_done() {
+            events += 1;
+            if events > 5_000_000 {
+                panic!("runner stuck at t={}: paths {:?}", fluid.sim.now(), fluid.slots);
             }
-            let ev = sim.next_event().ok_or(RunnerError::Stalled)?;
-            match ev {
+            match fluid.sim.next_event().ok_or(RunnerError::Stalled)? {
                 SimEvent::Wakeup { token, time } if token.0 & TICK_BIT != 0 => {
-                    if tick_scheduled == Some(time) {
-                        tick_scheduled = None;
+                    let time = time.secs();
+                    if fluid.armed == Some(time) {
+                        fluid.armed = None;
                     }
-                    exec!(sched.on_tick(time - t0));
-                    arm_tick!();
+                    book.tick(time, &mut fluid);
+                    fluid.arm(book.next_tick(time));
                 }
-                SimEvent::Wakeup { token, .. } => {
-                    let Some(inflight) = pending.remove(&token.0) else {
-                        continue; // start was aborted before it began
-                    };
-                    if sched.is_done() {
-                        continue;
-                    }
-                    let fid = sim.start_flow(
-                        self.paths[inflight.path].links.clone(),
-                        self.item_sizes[inflight.item],
-                    );
-                    path_flow[inflight.path] = Some(fid);
-                    flows.insert(fid, inflight);
-                }
+                SimEvent::Wakeup { token, .. } => fluid.begin_flow(token.0),
                 SimEvent::FlowCompleted { flow, record, time } => {
-                    let Some(inflight) = flows.remove(&flow) else {
+                    let Some((path, item)) = fluid.find(Stage::Flowing(flow)) else {
                         continue; // not ours (caller may run other flows)
                     };
-                    path_flow[inflight.path] = None;
-                    bytes_per_path[inflight.path] += record.size_bytes;
-                    if completion[inflight.item].is_nan() {
-                        completion[inflight.item] = time - t0;
-                    }
-                    let elapsed = time - inflight.issued_at;
-                    exec!(sched.on_complete(
-                        inflight.path,
-                        inflight.item,
-                        time - t0,
-                        record.size_bytes,
-                        elapsed,
-                    ));
-                    arm_tick!();
+                    fluid.slots[path] = None;
+                    let (time, size) = (time.secs(), record.size_bytes);
+                    book.completed(path, item, time, size, size, &mut fluid);
+                    fluid.arm(book.next_tick(time));
                 }
             }
         }
+        Ok(book.finish(&mut fluid))
+    }
+}
 
-        // Defensive cleanup: cancel any stragglers (e.g. duplicates the
-        // scheduler forgot to abort) and charge them as waste.
-        for (path, slot) in path_flow.iter_mut().enumerate() {
-            if let Some(fid) = slot.take() {
-                if let Ok(rec) = sim.cancel_flow(fid) {
-                    wasted += rec.transferred_bytes();
-                    bytes_per_path[path] += rec.transferred_bytes();
-                }
-            }
+/// High bit of a wakeup token: a scheduler tick, not a copy's start.
+const TICK_BIT: u64 = 1 << 63;
+
+/// Where a path's copy is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stage {
+    /// In its overhead window, until the wakeup with this token.
+    Waiting(u64),
+    Flowing(FlowId),
+}
+
+/// The runner's transport: each path's copy on the simulation.
+struct Fluid<'a> {
+    sim: &'a mut Simulation,
+    paths: &'a [PathSpec],
+    sizes: &'a [f64],
+    /// The item each path runs a copy of, and where that copy is.
+    slots: Vec<Option<(usize, Stage)>>,
+    /// Whether each path has paid its one-time startup delay.
+    warm: Vec<bool>,
+    next_token: u64,
+    /// Earliest tick already queued. Simulator wakeups cannot be
+    /// withdrawn, so a tick is queued only when it is due sooner.
+    armed: Option<f64>,
+}
+
+impl Fluid<'_> {
+    fn token(&mut self) -> u64 {
+        self.next_token += 1;
+        self.next_token - 1
+    }
+
+    fn arm(&mut self, due: Option<f64>) {
+        let Some(due) = due else { return };
+        if self.armed.is_none_or(|t| due < t) {
+            let token = self.token();
+            self.sim.schedule_wakeup(SimTime::from_secs(due), WakeToken(TICK_BIT | token));
+            self.armed = Some(due);
         }
+    }
 
-        let total = completion.iter().cloned().fold(0.0, f64::max);
-        Ok(TransactionResult {
-            total_secs: total,
-            item_completion_secs: completion,
-            wasted_bytes: wasted,
-            bytes_per_path,
-            starts,
-            aborts,
+    /// A copy's overhead window ended: its bytes start flowing. A copy
+    /// cancelled inside the window left its wakeup behind, and no path
+    /// waits for that token any more.
+    fn begin_flow(&mut self, token: u64) {
+        if let Some((path, item)) = self.find(Stage::Waiting(token)) {
+            let flow = self.sim.start_flow(self.paths[path].links.clone(), self.sizes[item]);
+            self.slots[path] = Some((item, Stage::Flowing(flow)));
+        }
+    }
+
+    /// The path whose copy is at `stage`, and its item.
+    fn find(&self, stage: Stage) -> Option<(usize, usize)> {
+        self.slots.iter().enumerate().find_map(|(path, slot)| match *slot {
+            Some((item, at)) if at == stage => Some((path, item)),
+            _ => None,
         })
+    }
+}
+
+impl Transport for Fluid<'_> {
+    fn start(&mut self, path: usize, item: usize) {
+        let spec = &self.paths[path];
+        let mut delay = spec.per_item_overhead_secs;
+        if !self.warm[path] {
+            delay += spec.startup_delay_secs;
+            self.warm[path] = true;
+        }
+        let token = self.token();
+        self.slots[path] = Some((item, Stage::Waiting(token)));
+        self.sim.schedule_wakeup_in(delay, WakeToken(token));
+    }
+
+    fn cancel(&mut self, path: usize) -> f64 {
+        match self.slots[path].take() {
+            Some((_, Stage::Flowing(flow))) => {
+                self.sim.cancel_flow(flow).expect("flow active").transferred_bytes()
+            }
+            // Still in its overhead window: no byte has moved.
+            _ => 0.0,
+        }
     }
 }
 
@@ -266,7 +214,7 @@ mod tests {
         rates_mbps: Vec<f64>,
         overhead: f64,
         startup: Vec<f64>,
-    ) -> TransactionResult {
+    ) -> TransferReport {
         let mut sim = Simulation::new();
         let paths: Vec<PathSpec> = rates_mbps
             .iter()
@@ -320,13 +268,13 @@ mod tests {
     #[test]
     fn completion_times_recorded_per_item() {
         let r = run(Policy::RoundRobin, vec![125_000.0; 4], vec![1.0, 0.5], 0.0, vec![0.0, 0.0]);
-        assert!(r.item_completion_secs.iter().all(|t| t.is_finite()));
+        assert!(r.item_secs.iter().all(|t| t.is_finite()));
         // Items 0,2 on the 1 Mbps path complete at 1 s and 2 s; items
         // 1,3 on the 0.5 Mbps path at 2 s and 4 s.
-        assert!((r.item_completion_secs[0] - 1.0).abs() < 1e-6);
-        assert!((r.item_completion_secs[1] - 2.0).abs() < 1e-6);
-        assert!((r.item_completion_secs[2] - 2.0).abs() < 1e-6);
-        assert!((r.item_completion_secs[3] - 4.0).abs() < 1e-6);
+        assert!((r.item_secs[0] - 1.0).abs() < 1e-6);
+        assert!((r.item_secs[1] - 2.0).abs() < 1e-6);
+        assert!((r.item_secs[2] - 2.0).abs() < 1e-6);
+        assert!((r.item_secs[3] - 4.0).abs() < 1e-6);
     }
 
     #[test]
@@ -344,7 +292,7 @@ mod tests {
     fn min_scheduler_runs_end_to_end() {
         let r =
             run(Policy::min_time_paper(), vec![125_000.0; 6], vec![1.0, 0.5], 0.1, vec![0.0, 0.0]);
-        assert!(r.item_completion_secs.iter().all(|t| t.is_finite()));
+        assert!(r.item_secs.iter().all(|t| t.is_finite()));
         assert!(r.total_secs > 0.0);
     }
 

@@ -164,8 +164,7 @@ impl VodExperiment {
         // The playlist fetch precedes segment downloads.
         let playlist_secs = adsl_overhead;
         let player = PlayerModel::new(self.prebuffer_fraction);
-        let completion: Vec<f64> =
-            result.item_completion_secs.iter().map(|t| t + playlist_secs).collect();
+        let completion: Vec<f64> = result.item_secs.iter().map(|t| t + playlist_secs).collect();
         let playout = player.playout(&completion, &durations);
         VodOutcome {
             prebuffer_secs: player.prebuffer_time_secs(&completion),

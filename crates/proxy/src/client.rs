@@ -4,12 +4,13 @@
 //!
 //! The client owns `N` [`PathTarget`]s — path 0 the residential
 //! gateway (an origin connection throttled to the ADSL profile), paths
-//! `1..N` the discovered device proxies. Scheduler [`Command`]s map to
-//! spawned transfer tasks; aborting a duplicate cancels its task and
-//! the bytes it moved are accounted as waste, mirroring the simulator
-//! driver in `threegol-core`.
+//! `1..N` the discovered device proxies. It is the live transport
+//! behind the shared [`Transaction`] book, like the fluid runner in
+//! `threegol-core`: a started copy is a spawned task counting the
+//! bytes its connection moves, and a cancelled copy is an aborted
+//! task. The book keeps the accounts, the failure limit and the ticks
+//! a policy asks for, which the client waits for on the virtual clock.
 
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +28,9 @@ use threegol_hls::MediaPlaylist;
 use threegol_http::codec::HttpStream;
 use threegol_http::multipart::{encode_multipart, multipart_content_type, Part};
 use threegol_http::{HttpError, Request};
-use threegol_sched::{build, Command, Policy, TransactionSpec};
+use threegol_sched::{
+    build, MultipathScheduler, Policy, Transaction, TransactionSpec, TransferReport, Transport,
+};
 
 use crate::throttle::{RateLimit, SharedRateLimit, ThrottledStream};
 
@@ -100,23 +103,6 @@ impl PathTarget {
             None => stream,
         })
     }
-}
-
-/// Timing and accounting for one multipath transaction.
-#[derive(Debug, Clone)]
-pub struct TransferReport {
-    /// Total transaction time, seconds.
-    pub total_secs: f64,
-    /// Per-item completion time, seconds from transaction start.
-    pub item_secs: Vec<f64>,
-    /// Bytes that crossed each path (including aborted partials).
-    pub bytes_per_path: Vec<f64>,
-    /// Bytes moved by aborted duplicates.
-    pub wasted_bytes: f64,
-    /// Transfers started / aborted.
-    pub starts: usize,
-    /// Aborts issued.
-    pub aborts: usize,
 }
 
 /// One transfer job. Cloned once per transfer attempt, so the fetch
@@ -232,141 +218,125 @@ impl ThreegolClient {
         Ok(report)
     }
 
-    /// Drive the scheduler over real connections.
+    /// Drive the client's policy over real connections.
     async fn run(
         &self,
         jobs: Vec<Job>,
         sizes: Option<Vec<f64>>,
         ready_tx: Option<mpsc::UnboundedSender<(usize, Bytes)>>,
     ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
-        assert!(!jobs.is_empty());
-        let n_paths = self.paths.len();
         let sizes = sizes.unwrap_or_else(|| vec![1.0; jobs.len()]);
-        let mut sched = build(self.policy, TransactionSpec::new(sizes, n_paths));
+        let mut sched = build(self.policy, TransactionSpec::new(sizes, self.paths.len()));
+        self.drive(jobs, sched.as_mut(), ready_tx).await
+    }
 
+    /// Drive `sched` over real connections.
+    async fn drive(
+        &self,
+        jobs: Vec<Job>,
+        sched: &mut dyn MultipathScheduler,
+        ready_tx: Option<mpsc::UnboundedSender<(usize, Bytes)>>,
+    ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
         let started = Instant::now();
-        let (tx, mut rx) = mpsc::unbounded_channel::<(usize, usize, Result<Bytes, String>, f64)>();
+        let clock = || started.elapsed().as_secs_f64();
+        let (tx, mut rx) = mpsc::unbounded_channel();
+        let n_paths = self.paths.len();
+        let running = (0..n_paths).map(|_| None).collect();
+        let mut tasks = Tasks { client: self, jobs: &jobs, tx, running };
+        let mut bodies = vec![Bytes::new(); jobs.len()];
+        let mut book = Transaction::start(sched, n_paths, jobs.len(), 0.0, &mut tasks);
 
-        struct Running {
-            handle: tokio::task::JoinHandle<()>,
-            moved: Arc<AtomicU64>,
-        }
-        let mut inflight: HashMap<(usize, usize), Running> = HashMap::new();
-        let mut bodies: Vec<Bytes> = vec![Bytes::new(); jobs.len()];
-        let mut item_secs = vec![f64::NAN; jobs.len()];
-        let mut bytes_per_path = vec![0.0_f64; n_paths];
-        let mut wasted = 0.0_f64;
-        let mut starts = 0usize;
-        let mut aborts = 0usize;
-        let mut failures: HashMap<usize, usize> = HashMap::new();
-
-        let spawn_transfer =
-            |path: usize,
-             item: usize,
-             tx: mpsc::UnboundedSender<(usize, usize, Result<Bytes, String>, f64)>|
-             -> Running {
-                let target = self.paths[path].clone();
-                let wifi = self.wifi.clone();
-                let job = jobs[item].clone();
-                let moved = Arc::new(AtomicU64::new(0));
-                let counter = Arc::clone(&moved);
-                let handle = tokio::spawn(async move {
-                    let t0 = Instant::now();
-                    let outcome =
-                        tokio::time::timeout(TRANSFER_TIMEOUT, perform(target, wifi, job, counter))
-                            .await
-                            .map_err(|_| "transfer timeout".to_string())
-                            .and_then(|r| r.map_err(|e| e.to_string()));
-                    let _ = tx.send((path, item, outcome, t0.elapsed().as_secs_f64()));
-                });
-                Running { handle, moved }
-            };
-
-        macro_rules! exec {
-            ($cmds:expr) => {
-                for cmd in $cmds {
-                    match cmd {
-                        Command::Start { path, item } => {
-                            starts += 1;
-                            let r = spawn_transfer(path, item, tx.clone());
-                            inflight.insert((path, item), r);
-                        }
-                        Command::Abort { path, item } => {
-                            aborts += 1;
-                            if let Some(r) = inflight.remove(&(path, item)) {
-                                r.handle.abort();
-                                let moved = r.moved.load(Ordering::Relaxed) as f64;
-                                wasted += moved;
-                                bytes_per_path[path] += moved;
-                            }
+        while !book.is_done() {
+            let landed = match book.next_tick(clock()) {
+                None => rx.recv().await,
+                Some(at) => {
+                    let wait = Duration::from_secs_f64(at).saturating_sub(started.elapsed());
+                    match tokio::time::timeout(wait, rx.recv()).await {
+                        Ok(landed) => landed,
+                        Err(_) => {
+                            book.tick(clock(), &mut tasks);
+                            continue;
                         }
                     }
                 }
             };
-        }
-
-        exec!(sched.start());
-
-        while !sched.is_done() {
-            let Some((path, item, outcome, elapsed)) = rx.recv().await else {
+            let Some(Landed { path, item, outcome, moved }) = landed else {
                 return Err(HttpError::Malformed("transfer channel closed".into()));
             };
-            let Some(r) = inflight.remove(&(path, item)) else {
-                continue; // completed after its abort raced it
-            };
-            let moved = r.moved.load(Ordering::Relaxed) as f64;
-            bytes_per_path[path] += moved;
-            let now = started.elapsed().as_secs_f64();
+            let now = clock();
             match outcome {
                 Ok(body) => {
-                    if item_secs[item].is_nan() {
-                        item_secs[item] = now;
+                    // The scheduler hears the item's payload: the photo
+                    // for an upload, whose response body is empty.
+                    let bytes = match &jobs[item] {
+                        Job::Fetch(_) => body.len(),
+                        Job::Upload { data, .. } => data.len(),
+                    };
+                    if book.completed(path, item, now, moved, bytes as f64, &mut tasks) {
                         if let Some(tx) = &ready_tx {
                             let _ = tx.send((item, body.clone()));
                         }
                         bodies[item] = body;
                     }
-                    let len = bodies[item].len().max(1) as f64;
-                    exec!(sched.on_complete(path, item, now, len, elapsed));
                 }
                 Err(msg) => {
-                    let count = failures.entry(item).or_insert(0);
-                    *count += 1;
-                    if *count > 3 * n_paths {
+                    if book.failed(path, item, now, moved, &mut tasks).is_err() {
                         return Err(HttpError::Malformed(format!(
                             "item {item} failed repeatedly: {msg}"
                         )));
                     }
-                    exec!(sched.on_failed(path, item, now));
                 }
             }
         }
+        Ok((bodies, book.finish(&mut tasks)))
+    }
+}
 
-        // Cancel stragglers (duplicates whose abort command raced).
-        // Sorted: HashMap iteration order is randomized per process,
-        // and f64 accumulation is order-sensitive, so an unsorted
-        // drain would make the report nondeterministic across runs.
-        let mut stragglers: Vec<((usize, usize), Running)> = inflight.drain().collect();
-        stragglers.sort_by_key(|((path, item), _)| (*path, *item));
-        for ((path, _), r) in stragglers {
-            r.handle.abort();
-            let moved = r.moved.load(Ordering::Relaxed) as f64;
-            wasted += moved;
-            bytes_per_path[path] += moved;
-        }
+/// How one copy's task ended.
+struct Landed {
+    path: usize,
+    item: usize,
+    outcome: Result<Bytes, String>,
+    /// Bytes the copy's connection moved, heads included.
+    moved: f64,
+}
 
-        let total = item_secs.iter().cloned().fold(0.0, f64::max);
-        Ok((
-            bodies,
-            TransferReport {
-                total_secs: total,
-                item_secs,
-                bytes_per_path,
-                wasted_bytes: wasted,
-                starts,
-                aborts,
-            },
-        ))
+/// The client's transport: one spawned task per copy.
+struct Tasks<'a> {
+    client: &'a ThreegolClient,
+    jobs: &'a [Job],
+    tx: mpsc::UnboundedSender<Landed>,
+    /// The task of each path's latest copy and its byte counter.
+    running: Vec<Option<(tokio::task::JoinHandle<()>, Arc<AtomicU64>)>>,
+}
+
+impl Transport for Tasks<'_> {
+    fn start(&mut self, path: usize, item: usize) {
+        let target = self.client.paths[path].clone();
+        let wifi = self.client.wifi.clone();
+        let job = self.jobs[item].clone();
+        let tx = self.tx.clone();
+        let counter = Arc::new(AtomicU64::new(0));
+        let tally = Arc::clone(&counter);
+        let handle = tokio::spawn(async move {
+            let outcome = tokio::time::timeout(
+                TRANSFER_TIMEOUT,
+                perform(target, wifi, job, Arc::clone(&tally)),
+            )
+            .await
+            .map_err(|_| "transfer timeout".to_string())
+            .and_then(|r| r.map_err(|e| e.to_string()));
+            let moved = tally.load(Ordering::Relaxed) as f64;
+            let _ = tx.send(Landed { path, item, outcome, moved });
+        });
+        self.running[path] = Some((handle, counter));
+    }
+
+    fn cancel(&mut self, path: usize) -> f64 {
+        let (handle, counter) =
+            self.running[path].take().expect("the book cancels only running copies");
+        handle.abort();
+        counter.load(Ordering::Relaxed) as f64
     }
 }
 
@@ -463,6 +433,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceProxy;
     use crate::origin::OriginServer;
+    use threegol_sched::{Command, Greedy, PlayoutAware};
 
     async fn setup(adsl_bps: f64, phone_bps: Vec<f64>) -> (ThreegolClient, Arc<OriginServer>) {
         let origin = Arc::new(OriginServer::small_for_tests());
@@ -554,5 +525,76 @@ mod tests {
         let (bodies, report) = client.fetch(targets, None).await.unwrap();
         assert!(bodies.iter().all(|b| b.len() == 64_000));
         assert!(report.aborts >= 1, "{report:?}");
+    }
+
+    /// Greedy, remembering the payload each completion reported.
+    struct Recording {
+        greedy: Greedy,
+        heard: Vec<(usize, f64)>,
+    }
+
+    impl MultipathScheduler for Recording {
+        fn start(&mut self) -> Vec<Command> {
+            self.greedy.start()
+        }
+        fn on_complete(
+            &mut self,
+            path: usize,
+            item: usize,
+            now: f64,
+            bytes: f64,
+            elapsed: f64,
+        ) -> Vec<Command> {
+            self.heard.push((item, bytes));
+            self.greedy.on_complete(path, item, now, bytes, elapsed)
+        }
+        fn on_failed(&mut self, path: usize, item: usize, now: f64) -> Vec<Command> {
+            self.greedy.on_failed(path, item, now)
+        }
+        fn is_done(&self) -> bool {
+            self.greedy.is_done()
+        }
+        fn name(&self) -> &'static str {
+            "REC"
+        }
+    }
+
+    #[tokio::test]
+    async fn the_scheduler_hears_each_photos_length() {
+        let (client, _origin) = setup(1e6, vec![8e6]).await;
+        let sizes = [10_000, 20_000, 30_000];
+        let jobs: Vec<Job> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| Job::Upload {
+                filename: format!("IMG_{i}.jpg"),
+                data: vec![7; n].into(),
+            })
+            .collect();
+        let spec = TransactionSpec::new(sizes.iter().map(|&n| n as f64).collect(), 2);
+        let mut sched = Recording { greedy: Greedy::new(spec), heard: Vec::new() };
+        client.drive(jobs, &mut sched, None).await.unwrap();
+        sched.heard.sort_by_key(|&(item, _)| item);
+        assert_eq!(sched.heard, vec![(0, 10_000.0), (1, 20_000.0), (2, 30_000.0)]);
+    }
+
+    #[tokio::test]
+    async fn a_tick_driven_policy_runs_live() {
+        // After two pre-buffer segments, each segment waits for its
+        // playout window to open (deadline minus horizon): the paths
+        // idle in between and only the scheduler's ticks wake them.
+        let (client, _origin) = setup(8e6, vec![8e6]).await;
+        let (n, horizon) = (6, 0.5);
+        let deadlines = PlayoutAware::vod_deadlines(n, 2.0, 2, 1.0);
+        let spec = TransactionSpec::uniform(n, 2, 64_000.0);
+        let mut sched = PlayoutAware::new(spec, deadlines.clone(), horizon);
+        let jobs = (0..n).map(|_| Job::Fetch(Arc::from("/probe.bin"))).collect();
+        let (bodies, report) = client.drive(jobs, &mut sched, None).await.unwrap();
+        assert!(bodies.iter().all(|b| b.len() == 64_000));
+        for (i, (&landed, &due)) in report.item_secs.iter().zip(&deadlines).enumerate().skip(2) {
+            let opens = due - horizon;
+            assert!(landed >= opens, "segment {i} landed at {landed} s, window opens at {opens} s");
+        }
+        assert!(report.total_secs > deadlines[n - 1] - horizon, "{report:?}");
     }
 }

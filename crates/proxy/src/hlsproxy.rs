@@ -26,8 +26,9 @@ use tokio::sync::{mpsc, Notify};
 use threegol_hls::MediaPlaylist;
 use threegol_http::codec::HttpStream;
 use threegol_http::{HttpError, Request, Response};
+use threegol_sched::TransferReport;
 
-use crate::client::{ThreegolClient, TransferReport};
+use crate::client::ThreegolClient;
 
 /// Prefetch cache state. Targets are interned `Arc<str>`s: each
 /// segment path is built exactly once per prefetch round and every

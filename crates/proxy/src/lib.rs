@@ -60,7 +60,7 @@ pub mod scenario;
 pub mod throttle;
 
 pub use capacity::{CapacitySource, CellProfile, G3Source, Isolated};
-pub use client::{PathTarget, ThreegolClient, TransferReport};
+pub use client::{PathTarget, ThreegolClient};
 pub use device::DeviceProxy;
 pub use discovery::{Advertisement, Discovery};
 pub use hlsproxy::HlsProxy;
@@ -69,4 +69,5 @@ pub use home::{
     SCENARIO_FP_SCALE,
 };
 pub use origin::OriginServer;
+pub use threegol_sched::TransferReport;
 pub use throttle::{RateLimit, SharedRateLimit, ThrottledStream};

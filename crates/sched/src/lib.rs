@@ -23,9 +23,14 @@
 //!   performs worst — exactly the paper's finding.
 //!
 //! The schedulers are pure state machines: they receive path/completion
-//! events and emit [`Command`]s. They know nothing about the transport,
-//! so the same implementations drive both the `threegol-simnet` fluid
-//! simulator and the live tokio prototype in `threegol-proxy`.
+//! events and emit [`Command`]s. One [`Transaction`] book runs them for
+//! every driver. It executes their commands on a [`Transport`] and keeps
+//! the accounts (starts, aborts, first-copy times, bytes per path, waste,
+//! the failure limit and the ticks a policy asks for) in a
+//! [`TransferReport`]. So each driver is only its transport: the
+//! scripted-rate [`toy`] executor here, the `threegol-simnet` fluid
+//! runner in `threegol-core`, and the live tokio client in
+//! `threegol-proxy`, and every policy runs on all three.
 
 pub mod estimator;
 pub mod greedy;
@@ -40,7 +45,10 @@ pub use greedy::Greedy;
 pub use mintime::MinTime;
 pub use playout::PlayoutAware;
 pub use roundrobin::RoundRobin;
-pub use transaction::{Command, MultipathScheduler, Policy, TransactionSpec};
+pub use transaction::{
+    Command, GaveUp, MultipathScheduler, Policy, Transaction, TransactionSpec, TransferReport,
+    Transport,
+};
 
 /// Instantiate a scheduler for `spec` under the given policy.
 pub fn build(policy: Policy, spec: TransactionSpec) -> Box<dyn MultipathScheduler> {

@@ -1,25 +1,11 @@
-//! A tiny deterministic executor for exercising schedulers end-to-end
+//! A tiny deterministic driver for exercising schedulers end-to-end
 //! without a network: each path transfers at a scripted rate. Used by
-//! unit/property tests and for documenting scheduler behaviour; the
-//! real drivers live in `threegol-core` (fluid simulation) and
-//! `threegol-proxy` (live tokio transport).
+//! unit/property tests and for documenting scheduler behaviour. Like
+//! the fluid runner in `threegol-core` and the live client in
+//! `threegol-proxy`, it is only a transport: a [`Transaction`] keeps
+//! the books and the ticks, so tick-driven policies run here too.
 
-use crate::transaction::{Command, MultipathScheduler};
-
-/// Outcome of running a transaction on the toy executor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ToyResult {
-    /// Total transaction time, seconds.
-    pub total_secs: f64,
-    /// Completion time of each item (first copy to finish).
-    pub item_completion_secs: Vec<f64>,
-    /// Bytes transferred by aborted duplicate copies.
-    pub wasted_bytes: f64,
-    /// Number of Start commands executed.
-    pub starts: usize,
-    /// Number of Abort commands executed.
-    pub aborts: usize,
-}
+use crate::transaction::{MultipathScheduler, Transaction, TransferReport, Transport};
 
 #[derive(Debug, Clone)]
 struct Active {
@@ -66,88 +52,78 @@ impl ToyExecutor {
     /// Run `sched` (for `item_sizes`) to completion and report timing.
     ///
     /// # Panics
-    /// Panics if the scheduler deadlocks (not done but no transfer
-    /// active) or issues an invalid command — both are scheduler bugs
-    /// the tests are meant to catch.
-    pub fn run(&mut self, sched: &mut dyn MultipathScheduler, item_sizes: &[f64]) -> ToyResult {
+    /// Panics if the scheduler deadlocks (not done, no transfer active
+    /// and no tick asked for) or issues an invalid command — both are
+    /// scheduler bugs the tests are meant to catch.
+    pub fn run(
+        &mut self,
+        sched: &mut dyn MultipathScheduler,
+        item_sizes: &[f64],
+    ) -> TransferReport {
         let n = self.rate_script.len();
-        let mut active: Vec<Option<Active>> = vec![None; n];
+        let mut toy =
+            Scripted { exec: self, sizes: item_sizes, active: vec![None; n], next_seq: 0 };
+        let mut book = Transaction::start(sched, n, item_sizes.len(), 0.0, &mut toy);
         let mut now = 0.0_f64;
-        let mut next_seq = 0u64;
-        let mut item_completion = vec![f64::NAN; item_sizes.len()];
-        let mut wasted = 0.0;
-        let mut starts = 0usize;
-        let mut aborts = 0usize;
-
-        let exec = |cmds: Vec<Command>,
-                    active: &mut Vec<Option<Active>>,
-                    this: &mut ToyExecutor,
-                    next_seq: &mut u64,
-                    wasted: &mut f64,
-                    starts: &mut usize,
-                    aborts: &mut usize| {
-            for cmd in cmds {
-                match cmd {
-                    Command::Start { path, item } => {
-                        assert!(active[path].is_none(), "Start on busy path {path}");
-                        let rate = this.next_rate(path);
-                        let seq = *next_seq;
-                        *next_seq += 1;
-                        active[path] =
-                            Some(Active { item, remaining: item_sizes[item], rate_bps: rate, seq });
-                        *starts += 1;
-                    }
-                    Command::Abort { path, item } => {
-                        let a = active[path]
-                            .take()
-                            .unwrap_or_else(|| panic!("Abort on idle path {path}"));
-                        assert_eq!(a.item, item, "Abort of wrong item on path {path}");
-                        *wasted += item_sizes[item] - a.remaining;
-                        *aborts += 1;
-                    }
-                }
-            }
-        };
-
-        exec(
-            sched.start(),
-            &mut active,
-            self,
-            &mut next_seq,
-            &mut wasted,
-            &mut starts,
-            &mut aborts,
-        );
-
-        while !sched.is_done() {
+        while !book.is_done() {
             // Earliest completion among active transfers.
-            let (path, dt, _) = active
+            let next = toy
+                .active
                 .iter()
                 .enumerate()
                 .filter_map(|(p, a)| a.as_ref().map(|a| (p, a.remaining * 8.0 / a.rate_bps, a.seq)))
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)))
-                .expect("scheduler deadlock: not done but no active transfer");
-            now += dt;
-            for a in active.iter_mut().flatten() {
-                a.remaining -= a.rate_bps * dt / 8.0;
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)));
+            // A tick due no later than the next completion goes first,
+            // as a simulator wakeup does.
+            let tick = book.next_tick(now);
+            match next {
+                Some((path, dt, _)) if tick.is_none_or(|at| now + dt < at) => {
+                    now += dt;
+                    toy.advance(dt);
+                    let item = toy.active[path].take().expect("path had a transfer").item;
+                    let size = item_sizes[item];
+                    book.completed(path, item, now, size, size, &mut toy);
+                }
+                _ => {
+                    let at = tick.expect("scheduler deadlock: not done but no active transfer");
+                    toy.advance(at - now);
+                    now = at;
+                    book.tick(now, &mut toy);
+                }
             }
-            let finished = active[path].take().expect("path had a transfer");
-            let item = finished.item;
-            if item_completion[item].is_nan() {
-                item_completion[item] = now;
-            }
-            let elapsed = item_sizes[item] * 8.0 / finished.rate_bps;
-            let cmds = sched.on_complete(path, item, now, item_sizes[item], elapsed);
-            exec(cmds, &mut active, self, &mut next_seq, &mut wasted, &mut starts, &mut aborts);
         }
+        book.finish(&mut toy)
+    }
+}
 
-        ToyResult {
-            total_secs: now,
-            item_completion_secs: item_completion,
-            wasted_bytes: wasted,
-            starts,
-            aborts,
+/// The toy's transport: the transfer each path is running.
+struct Scripted<'a> {
+    exec: &'a mut ToyExecutor,
+    sizes: &'a [f64],
+    active: Vec<Option<Active>>,
+    next_seq: u64,
+}
+
+impl Scripted<'_> {
+    /// Move every active transfer `dt` seconds on.
+    fn advance(&mut self, dt: f64) {
+        for a in self.active.iter_mut().flatten() {
+            a.remaining -= a.rate_bps * dt / 8.0;
         }
+    }
+}
+
+impl Transport for Scripted<'_> {
+    fn start(&mut self, path: usize, item: usize) {
+        let rate_bps = self.exec.next_rate(path);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.active[path] = Some(Active { item, remaining: self.sizes[item], rate_bps, seq });
+    }
+
+    fn cancel(&mut self, path: usize) -> f64 {
+        let a = self.active[path].take().expect("the book cancels only running copies");
+        self.sizes[a.item] - a.remaining
     }
 }
 
@@ -157,7 +133,7 @@ mod tests {
     use crate::transaction::{Policy, TransactionSpec};
     use crate::{build, Greedy};
 
-    fn run_policy(policy: Policy, sizes: &[f64], rates: Vec<Vec<f64>>) -> ToyResult {
+    fn run_policy(policy: Policy, sizes: &[f64], rates: Vec<Vec<f64>>) -> TransferReport {
         let spec = TransactionSpec::new(sizes.to_vec(), rates.len());
         let mut sched = build(policy, spec);
         ToyExecutor::new(rates).run(sched.as_mut(), sizes)
@@ -180,7 +156,7 @@ mod tests {
         let r = run_policy(Policy::Greedy, &[1000.0; 4], vec![vec![8000.0], vec![4000.0]]);
         assert!(r.total_secs <= 3.0 + 1e-9, "{r:?}");
         // All completions recorded.
-        assert!(r.item_completion_secs.iter().all(|t| t.is_finite()));
+        assert!(r.item_secs.iter().all(|t| t.is_finite()));
     }
 
     #[test]
@@ -261,7 +237,7 @@ mod tests {
                     let mut sched = build(policy, spec);
                     let r = ToyExecutor::new(rates.clone()).run(sched.as_mut(), &sizes);
                     prop_assert!(r.total_secs.is_finite() && r.total_secs > 0.0);
-                    prop_assert!(r.item_completion_secs.iter().all(|t| t.is_finite()));
+                    prop_assert!(r.item_secs.iter().all(|t| t.is_finite()));
                     // Can't beat the aggregate-capacity lower bound
                     // (best-case per-transfer rates).
                     let max_rate: f64 = rates.iter().flatten().cloned().fold(0.0, f64::max);
