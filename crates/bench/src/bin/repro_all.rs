@@ -1,17 +1,24 @@
-//! Run every reproduction experiment and print an EXPERIMENTS.md-ready
-//! Markdown report to stdout; a human-readable rendering goes to
-//! stderr.
+//! The one experiment front door: run the paper's tables and figures
+//! (and the ablations) and print an EXPERIMENTS.md-ready Markdown
+//! report to stdout; a human-readable rendering goes to stderr.
 //!
 //! ```text
-//! cargo run -p threegol-bench --release --bin repro_all [scale] [workers] > EXPERIMENTS.md
+//! cargo run -p threegol-bench --release --bin repro_all [scale] [workers] [ID…]
 //! ```
 //!
-//! `scale` must lie in (0, 1] (default 1). `workers` overrides the
-//! `THREEGOL_WORKERS` environment variable and the detected core
-//! count. Every experiment decomposes into independent replication
-//! units that all interleave in one shared work-stealing pool, and
-//! each experiment's merge step reassembles its partials in unit
-//! order — so the output is byte-identical for any worker count.
+//! `scale` must lie in (0, 1] (default 1); `workers` defaults to the
+//! detected core count. With no `ID` the whole report is printed,
+//! three live-fleet sections included, and at scale 1 it is the
+//! committed `EXPERIMENTS.md` byte for byte. With `ID`s (registry ids
+//! such as `fig06`) only those experiments run, in registry order, and
+//! only their sections are printed, each identical to its section in
+//! the whole report. Exits 1 if a paper-vs-measured check fails, and 2
+//! with a usage line on a bad scale, worker count or id.
+//!
+//! Every experiment decomposes into independent replication units that
+//! all interleave in one shared work-stealing pool, and each
+//! experiment's merge step reassembles its partials in unit order — so
+//! the output is byte-identical for any worker count.
 
 use threegol_bench::fleet::{
     home_spec, run_cell_fleet, scenario_spec, CellFleetConfig, CellFleetRun, Fleet, FleetDigest,
@@ -261,32 +268,43 @@ fn scenario_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
     (out, grants_ok && captured_ok && overrun_ok && backtest_ok)
 }
 
+const USAGE: &str = "usage: repro_all [scale] [workers] [ID…]";
+
+/// Print `message`, the usage line and the valid ids, then exit 2.
+fn fail(message: &str) -> ! {
+    let ids: Vec<&str> = registry().all().map(|e| e.id()).collect();
+    eprintln!("repro_all: {message}\n{USAGE}\nIDs: {}", ids.join(" "));
+    std::process::exit(2);
+}
+
+/// Parse `[scale] [workers] [ID…]`: up to two leading numbers, then
+/// registry ids. Returns the scale, the worker count if given, and
+/// the named experiments in registry order (`None` when no id is
+/// given: the whole report).
+fn parse_args() -> (Scale, Option<usize>, Option<Vec<&'static dyn DynExperiment>>) {
+    let mut args = std::env::args().skip(1).peekable();
+    let is_number = |raw: &String| raw.parse::<f64>().is_ok();
+    let scale = args.next_if(is_number).map_or(Scale::FULL, |raw| {
+        let value = raw.parse::<f64>().expect("checked numeric");
+        Scale::new(value).unwrap_or_else(|err| fail(&format!("bad scale {raw:?}: {err}")))
+    });
+    let workers = args.next_if(is_number).map(|raw| match raw.parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => fail(&format!("bad worker count {raw:?}: expected an integer ≥ 1")),
+    });
+    let ids: Vec<String> = args.collect();
+    if let Some(bad) = ids.iter().find(|id| registry().get(id).is_none()) {
+        fail(&format!("unknown experiment id {bad:?}"));
+    }
+    let selection = (!ids.is_empty())
+        .then(|| registry().all().filter(|e| ids.iter().any(|id| id == e.id())).collect());
+    (scale, workers, selection)
+}
+
 fn main() {
-    let scale = match std::env::args().nth(1) {
-        None => Scale::FULL,
-        Some(raw) => match raw
-            .parse::<f64>()
-            .map_err(|e| e.to_string())
-            .and_then(|v| Scale::new(v).map_err(|e| e.to_string()))
-        {
-            Ok(scale) => scale,
-            Err(err) => {
-                eprintln!("repro_all: bad scale {raw:?}: {err}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let workers_arg = match std::env::args().nth(2) {
-        None => None,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("repro_all: bad worker count {raw:?}: expected an integer ≥ 1");
-                std::process::exit(2);
-            }
-        },
-    };
-    let experiments: Vec<&'static dyn DynExperiment> = registry().all().collect();
+    let (scale, workers_arg, selection) = parse_args();
+    let whole_report = selection.is_none();
+    let experiments = selection.unwrap_or_else(|| registry().all().collect());
     let workers = resolve_workers(workers_arg);
 
     // One shared pool executes every experiment's units; a lightweight
@@ -295,7 +313,7 @@ fn main() {
     // parallelism is the pool's worker count, not 22 + workers.
     let mut slots: Vec<Option<Report>> = (0..experiments.len()).map(|_| None).collect();
     let fleet_homes = ((FLEET_HOMES_FULL * scale.get()).round() as usize).max(1);
-    let (fleet_digest, cell_run, scenario_digest) = Pool::with(workers, |pool| {
+    let fleets = Pool::with(workers, |pool| {
         std::thread::scope(|scope| {
             for (experiment, slot) in experiments.iter().zip(slots.iter_mut()) {
                 scope.spawn(move || {
@@ -304,57 +322,58 @@ fn main() {
                 });
             }
         });
-        eprintln!("running fleet ({fleet_homes} live homes) …");
-        let digest = Fleet::new(fleet_homes, home_spec).run(pool);
-        eprintln!("running cell-coupled fleet ({fleet_homes} homes, fixed point) …");
-        let cells = run_cell_fleet(fleet_homes, DEFAULT_CHUNK, pool, &CellFleetConfig::default());
-        eprintln!("running traced-scenario fleet ({fleet_homes} homes, {SCENARIO_DAYS} days) …");
-        let spec = |index| scenario_spec(index, SCENARIO_DAYS, DEFAULT_SCENARIO_SEED);
-        let scenario = Fleet::new(fleet_homes, spec).run(pool);
-        (digest, cells, scenario)
+        whole_report.then(|| {
+            eprintln!("running fleet ({fleet_homes} live homes) …");
+            let digest = Fleet::new(fleet_homes, home_spec).run(pool);
+            eprintln!("running cell-coupled fleet ({fleet_homes} homes, fixed point) …");
+            let cells =
+                run_cell_fleet(fleet_homes, DEFAULT_CHUNK, pool, &CellFleetConfig::default());
+            eprintln!(
+                "running traced-scenario fleet ({fleet_homes} homes, {SCENARIO_DAYS} days) …"
+            );
+            let spec = |index| scenario_spec(index, SCENARIO_DAYS, DEFAULT_SCENARIO_SEED);
+            let scenario = Fleet::new(fleet_homes, spec).run(pool);
+            (digest, cells, scenario)
+        })
     });
     let reports: Vec<Report> =
         slots.into_iter().map(|r| r.expect("every experiment ran")).collect();
 
-    println!("# EXPERIMENTS — paper vs reproduction\n");
-    println!(
-        "Generated by `cargo run -p threegol-bench --release --bin repro_all` (scale {}).\n",
-        scale.get()
-    );
-    println!(
-        "Absolute numbers come from the simulated substrate, not the authors' \
-         testbed; the checks assert the *shape* of each result (who wins, by \
-         what factor, where crossovers sit).\n"
-    );
-    let mut all_ok = true;
+    if whole_report {
+        println!("# EXPERIMENTS — paper vs reproduction\n");
+        println!(
+            "Generated by `cargo run -p threegol-bench --release --bin repro_all` (scale {}).\n",
+            scale.get()
+        );
+        println!(
+            "Absolute numbers come from the simulated substrate, not the authors' \
+             testbed; the checks assert the *shape* of each result (who wins, by \
+             what factor, where crossovers sit).\n"
+        );
+    }
+    let mut failed: Vec<&str> = Vec::new();
     for report in &reports {
         eprint!("{}", report.render());
         print!("{}", report.render_markdown());
-        all_ok &= report.all_ok();
+        if !report.all_ok() {
+            failed.push(report.id);
+        }
     }
-    let (fleet_md, fleet_ok) = fleet_section(&fleet_digest, fleet_homes);
-    eprint!("{}", fleet_digest.render());
-    print!("{fleet_md}");
-    all_ok &= fleet_ok;
-    let (cells_md, cells_ok) = cells_section(&cell_run);
-    eprint!("{}", cell_run.render());
-    print!("{cells_md}");
-    all_ok &= cells_ok;
-    let (scenario_md, scenario_ok) = scenario_section(&scenario_digest, fleet_homes);
-    eprint!("{}", scenario_digest.render());
-    print!("{scenario_md}");
-    all_ok &= scenario_ok;
-    let mut failed: Vec<&str> = reports.iter().filter(|r| !r.all_ok()).map(|r| r.id).collect();
-    if !fleet_ok {
-        failed.push("fleet");
+    if let Some((fleet, cells, scenario)) = &fleets {
+        let sections = [
+            ("fleet", fleet_section(fleet, fleet_homes), fleet.render()),
+            ("fig11-fleet", cells_section(cells), cells.render()),
+            ("scenario", scenario_section(scenario, fleet_homes), scenario.render()),
+        ];
+        for (id, (markdown, ok), text) in sections {
+            eprint!("{text}");
+            print!("{markdown}");
+            if !ok {
+                failed.push(id);
+            }
+        }
     }
-    if !cells_ok {
-        failed.push("fig11-cells");
-    }
-    if !scenario_ok {
-        failed.push("scenario-live");
-    }
-    if !all_ok {
+    if !failed.is_empty() {
         eprintln!("checks failed in: {failed:?}");
         std::process::exit(1);
     }

@@ -15,9 +15,8 @@
 //! * workers are scoped threads: [`Pool::with`] joins them before it
 //!   returns, so a pool can never outlive the driver that created it.
 //!
-//! Worker-count selection (CLI argument beats environment beats
-//! detection) lives in [`resolve_workers`]; the `THREEGOL_WORKERS`
-//! environment variable overrides the detected core count everywhere.
+//! Worker-count selection (a CLI argument, else the detected core
+//! count) lives in [`resolve_workers`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -91,7 +90,7 @@ impl Pool {
     }
 
     /// Submit one job for execution on any worker.
-    pub fn submit(&self, job: Job) {
+    pub(crate) fn submit(&self, job: Job) {
         self.injector.push(job);
         // Taking the idle lock orders this notify against any worker's
         // empty-check-then-wait, so a push can't slip between the two
@@ -220,15 +219,10 @@ where
     acc
 }
 
-/// Pick the worker count: explicit `cli` argument if given, else the
-/// `THREEGOL_WORKERS` environment variable, else the machine's
-/// available parallelism.
+/// Pick the worker count: the explicit `cli` argument if given, else
+/// the machine's available parallelism.
 pub fn resolve_workers(cli: Option<usize>) -> usize {
-    cli.or_else(|| {
-        std::env::var("THREEGOL_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    })
-    .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-    .max(1)
+    cli.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())).max(1)
 }
 
 #[cfg(test)]

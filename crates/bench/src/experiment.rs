@@ -1,10 +1,10 @@
 //! The typed experiment interface and its static registry.
 //!
-//! Every reproduced table/figure implements [`Experiment`]: it
-//! decomposes into independent, independently-seeded replication units
-//! ([`Experiment::units`]), each unit runs in isolation
-//! ([`Experiment::run_unit`]), and the partial results are merged **in
-//! unit order** into the final [`Report`] ([`Experiment::merge`]).
+//! Every reproduced table/figure implements the crate's `Experiment`
+//! trait: it decomposes into independent, independently-seeded
+//! replication units (`units`), each unit runs in isolation
+//! (`run_unit`), and the partial results are merged **in unit order**
+//! into the final [`Report`] (`merge`).
 //! Because unit seeds derive from the unit's coordinates (repetition
 //! index, location, quality, …) and never from execution order, the
 //! merged report is byte-identical whether the units ran serially or
@@ -71,7 +71,7 @@ impl fmt::Display for ScaleError {
 impl std::error::Error for ScaleError {}
 
 /// One reproduced table/figure, decomposed into replication units.
-pub trait Experiment {
+pub(crate) trait Experiment {
     /// One independent cell of the experiment's sweep: a repetition
     /// block at fixed coordinates (location, quality, policy, …),
     /// carrying everything `run_unit` needs. Seeds must derive from
@@ -99,7 +99,7 @@ pub trait Experiment {
     fn merge(&self, scale: Scale, partials: Vec<Self::Partial>) -> Report;
 }
 
-/// Object-safe view of an [`Experiment`] (unit/partial types erased),
+/// Object-safe view of an `Experiment` (unit/partial types erased),
 /// what the [`registry`] and the driver binaries work with.
 pub trait DynExperiment: Send + Sync {
     /// Stable experiment id (e.g. `"fig06"`).

@@ -20,7 +20,7 @@ pub struct Abl01;
 
 /// One (setup, Wi-Fi standard) cell: all its repetitions.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// 0 = HSPA on 2 Mbit/s ADSL, 1 = LTE on 21.6 Mbit/s line.
     pub setup: usize,
     /// The LAN standard under test.
@@ -31,7 +31,7 @@ pub struct Unit {
 
 /// One cell's mean download and pre-buffer times.
 #[derive(Debug, Clone, Copy)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// Mean total download time, seconds.
     pub download_mean: f64,
     /// Mean pre-buffer time, seconds.

@@ -25,7 +25,7 @@ pub struct Abl02;
 
 /// One repetition of one scheduler configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// 0 = greedy baseline, 1–3 = playout-aware with `HORIZONS`.
     pub cfg: usize,
     /// Repetition number.
@@ -34,7 +34,7 @@ pub struct Unit {
 
 /// One repetition's quota-relevant outcomes.
 #[derive(Debug, Clone, Copy)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// Bytes fetched over the cellular paths this rep.
     pub onloaded: f64,
     /// Pre-buffer (startup) time this rep, seconds.

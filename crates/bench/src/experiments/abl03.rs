@@ -19,7 +19,7 @@ pub struct Abl03;
 
 /// One configuration cell: all its repetitions.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Phone radio generation; ignored when `n_phones` is 0.
     pub generation: RadioGeneration,
     /// Number of onloading phones (0 = ADSL alone).
@@ -30,7 +30,7 @@ pub struct Unit {
 
 /// One cell's mean download and pre-buffer times.
 #[derive(Debug, Clone, Copy)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// Mean total download time, seconds.
     pub download_mean: f64,
     /// Mean pre-buffer time, seconds.

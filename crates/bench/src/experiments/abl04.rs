@@ -21,7 +21,7 @@ pub struct Abl04;
 
 /// One (service mode, provisioning) day-long walk.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// 0 = network-integrated (§2.4), 1 = multi-provider (§6).
     pub mode: usize,
     /// Cell provisioning at the household's location.
@@ -29,7 +29,7 @@ pub struct Unit {
 }
 
 /// One walked day: `(hour, phones_used, speedup)` per video.
-pub type Partial = Vec<(f64, usize, f64)>;
+pub(crate) type Partial = Vec<(f64, usize, f64)>;
 
 fn mode_label(mode: usize) -> &'static str {
     ["integrated", "multi-provider"][mode]

@@ -16,7 +16,7 @@ pub struct Abl05;
 
 /// One quality rung: all three transports over all repetitions.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Quality index into the paper ladder.
     pub qi: usize,
     /// Repetitions per transport.
@@ -25,7 +25,7 @@ pub struct Unit {
 
 /// One rung's mean download times per transport.
 #[derive(Debug, Clone)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// The rung's quality label.
     pub label: String,
     /// ADSL-only mean download, seconds.

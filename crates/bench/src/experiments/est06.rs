@@ -18,7 +18,7 @@ pub struct Est06;
 /// (splitting per rule would regenerate the 18-month trace per unit,
 /// costing more than it parallelizes).
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Synthetic MNO population size at this scale.
     pub n_users: usize,
 }

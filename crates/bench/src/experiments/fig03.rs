@@ -16,7 +16,7 @@ pub struct Fig03;
 /// One (location, device-count) cell of the sweep: all repetitions of
 /// both directions at that point.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Index into the first four Table 2 locations.
     pub li: usize,
     /// Number of simultaneously active devices (1–10).
@@ -27,7 +27,7 @@ pub struct Unit {
 
 /// Mean aggregate throughput for one cell.
 #[derive(Debug, Clone, Copy)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// The unit's location index.
     pub li: usize,
     /// The unit's device count.

@@ -15,7 +15,7 @@ pub struct Fig04;
 
 /// One (location, hour) cell: all three cluster sizes over all days.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Index into the six Table 2 locations.
     pub li: usize,
     /// Hour of day probed.
@@ -26,7 +26,7 @@ pub struct Unit {
 
 /// One table row plus the series samples the checks need.
 #[derive(Debug, Clone)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// The preformatted row cells for this (location, hour).
     pub cells: Vec<String>,
     /// Mean per-device downlink of the 5-device cluster, bits/s.

@@ -17,7 +17,7 @@ pub struct Fig05;
 
 /// One (location, direction) cell: every station's sample set there.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Index into the six Table 2 locations.
     pub li: usize,
     /// Probe direction for this cell.
@@ -30,7 +30,7 @@ pub struct Unit {
 
 /// Per-station quantile rows plus the raw samples for the pooled checks.
 #[derive(Debug, Clone)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// Preformatted table rows, one per base station.
     pub rows: Vec<Vec<String>>,
     /// All samples of this cell concatenated in station order.

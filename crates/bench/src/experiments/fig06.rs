@@ -20,7 +20,7 @@ pub struct Fig06;
 
 /// One repetition of one (quality, configuration) cell.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Quality index into the paper ladder (0–3).
     pub qi: usize,
     /// Configuration index (0 = ADSL, 1–3 = MIN/RR/GRD 1 phone,

@@ -19,7 +19,7 @@ pub struct Fig07;
 
 /// One repetition of one sweep cell.
 #[derive(Debug, Clone, Copy)]
-pub enum Unit {
+pub(crate) enum Unit {
     /// Main sweep: (location, phones, radio start, quality, pre-buffer).
     Main {
         /// 0 = loc2 (fastest), 1 = loc4 (slowest).
@@ -46,7 +46,7 @@ pub enum Unit {
 
 /// The rep's outcome without 3GOL and with it.
 #[derive(Debug, Clone)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// ADSL-only outcome.
     pub adsl: VodOutcome,
     /// 3GOL outcome.

@@ -17,7 +17,7 @@ pub struct Fig08;
 
 /// One repetition of one (location, configuration, quality) cell.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Index into the five Table 4 evaluation locations.
     pub li: usize,
     /// Configuration index, column order: 1ph-3G, 1ph-H, 2ph-3G, 2ph-H.
@@ -30,7 +30,7 @@ pub struct Unit {
 
 /// The rep's outcome without 3GOL and with it.
 #[derive(Debug, Clone)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// ADSL-only outcome.
     pub adsl: VodOutcome,
     /// 3GOL outcome.

@@ -14,7 +14,7 @@ pub struct Fig09;
 
 /// One (location, device-count) cell: all its repetitions.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Index into the five Table 4 evaluation locations.
     pub li: usize,
     /// Number of onloading phones (0 = ADSL alone).
@@ -25,7 +25,7 @@ pub struct Unit {
 
 /// Mean total upload time for one cell, seconds.
 #[derive(Debug, Clone, Copy)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// Mean of `total` across the cell's repetitions.
     pub total_mean: f64,
 }

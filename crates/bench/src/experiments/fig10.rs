@@ -13,7 +13,7 @@ pub struct Fig10;
 /// One unit: the whole population (the trace is generated once and
 /// every statistic reads from it).
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Synthetic MNO population size at this scale.
     pub n_users: usize,
 }

@@ -14,7 +14,7 @@ pub struct Fig11b;
 
 /// One unit: the whole DSLAM population.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Synthetic DSLAM population size at this scale.
     pub n_users: usize,
 }

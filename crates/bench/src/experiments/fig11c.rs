@@ -14,7 +14,7 @@ pub struct Fig11c;
 
 /// One unit: the whole MNO population.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Synthetic MNO population size at this scale.
     pub n_users: usize,
 }

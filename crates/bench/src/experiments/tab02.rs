@@ -13,7 +13,7 @@ pub struct Tab02;
 
 /// One measurement location.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Index into the six Table 2 locations.
     pub li: usize,
     /// Repetitions per measurement.
@@ -22,7 +22,7 @@ pub struct Unit {
 
 /// One location's measured row.
 #[derive(Debug, Clone)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// The location's display name.
     pub name: String,
     /// Measured DSL (down, up) bits/s.

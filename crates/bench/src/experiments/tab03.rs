@@ -18,7 +18,7 @@ pub struct Tab03;
 
 /// One cluster size of the sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Device cluster size (1, 3 or 5).
     pub cluster: usize,
     /// The paper's uplink mean anchor for this cluster, bits/s.
@@ -31,7 +31,7 @@ pub struct Unit {
 
 /// One cluster's measured summaries.
 #[derive(Debug, Clone, Copy)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// The unit this partial answers.
     pub unit: Unit,
     /// Uplink per-device throughput summary.

@@ -15,7 +15,7 @@ pub struct Tab04;
 
 /// One evaluation location.
 #[derive(Debug, Clone, Copy)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Index into the five Table 4 locations.
     pub li: usize,
     /// Repetitions per measurement.
@@ -24,7 +24,7 @@ pub struct Unit {
 
 /// One location's modeled single-device downlink.
 #[derive(Debug, Clone, Copy)]
-pub struct Partial {
+pub(crate) struct Partial {
     /// Mean single-device 3G downlink, bits/s.
     pub dl: f64,
 }

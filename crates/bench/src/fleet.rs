@@ -73,7 +73,7 @@ pub const DEFAULT_CHUNK: usize = 64;
 pub const FLEET_RSS_CEILING_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Number of buckets in a [`MetricDigest`] histogram.
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// Fixed-point scale for exactly-mergeable metric sums: values are
 /// accumulated as `round(v * 2^20)` in 128-bit integers, so summation
@@ -188,7 +188,7 @@ impl MetricDigest {
     }
 
     /// Quantile estimate from the histogram (see [`MetricDigest::p50`]).
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -664,7 +664,7 @@ impl FleetDigest {
     }
 
     /// Total upload bytes moved by aborted duplicates.
-    pub fn wasted_bytes(&self) -> f64 {
+    pub(crate) fn wasted_bytes(&self) -> f64 {
         from_fp(self.wasted_bytes_fp)
     }
 
@@ -878,30 +878,11 @@ pub struct CellFleetConfig {
     /// the default of 1000 lets a thousand-home fleet model a
     /// million-household city.
     pub scale_per_home: f64,
-    /// Nominal (uncontended) per-phone 3G downlink, bits/s.
-    pub nominal_down_bps: f64,
-    /// Nominal (uncontended) per-phone 3G uplink, bits/s.
-    pub nominal_up_bps: f64,
-    /// Relaxation weight for the share update, `(0, 1]`: each pass
-    /// moves the shares this fraction of the way toward the loads'
-    /// implied shares. `1.0` is the raw undamped update, which can
-    /// oscillate (low share → bytes shift to ADSL → load drops →
-    /// high share → …); `0.5` halves the oscillation amplitude every
-    /// pass.
-    pub damping: f64,
 }
 
 impl Default for CellFleetConfig {
     fn default() -> CellFleetConfig {
-        CellFleetConfig {
-            cells: 8,
-            max_passes: 8,
-            tolerance: 0.05,
-            scale_per_home: 1000.0,
-            nominal_down_bps: 2e6,
-            nominal_up_bps: 1e6,
-            damping: 0.5,
-        }
+        CellFleetConfig { cells: 8, max_passes: 8, tolerance: 0.05, scale_per_home: 1000.0 }
     }
 }
 
@@ -970,14 +951,28 @@ fn profile_shift(old: &CellProfile, new: &CellProfile) -> f64 {
     shift
 }
 
+/// Nominal (uncontended) per-phone 3G downlink of a coupled cell,
+/// bits/s.
+const NOMINAL_DOWN_BPS: f64 = 2e6;
+
+/// Nominal (uncontended) per-phone 3G uplink of a coupled cell, bits/s.
+const NOMINAL_UP_BPS: f64 = 1e6;
+
+/// Relaxation weight for the share update: each pass moves the shares
+/// this fraction of the way toward the loads' implied shares. The raw
+/// undamped update (1.0) can oscillate (low share → bytes shift to
+/// ADSL → load drops → high share → …); 0.5 halves the oscillation
+/// amplitude every pass.
+const DAMPING: f64 = 0.5;
+
 /// Per-phone share curves for every cell given the loads of the
-/// previous pass (pure function of map + config + loads).
-fn share_profiles(map: &CellMap, config: &CellFleetConfig, loads: &[CellLoad]) -> Vec<CellProfile> {
+/// previous pass (pure function of map + loads).
+fn share_profiles(map: &CellMap, loads: &[CellLoad]) -> Vec<CellProfile> {
     loads
         .iter()
         .map(|load| {
             let (down_bps, up_bps) =
-                map.phone_share(load.cell, config.nominal_down_bps, config.nominal_up_bps, load);
+                map.phone_share(load.cell, NOMINAL_DOWN_BPS, NOMINAL_UP_BPS, load);
             CellProfile { cell: load.cell, down_bps, up_bps }
         })
         .collect()
@@ -1013,7 +1008,7 @@ pub fn run_cell_fleet(
     assert!(config.max_passes > 0, "need at least one pass");
     let map = CellMap::city(config.cells);
     let empty: Vec<CellLoad> = (0..config.cells).map(CellLoad::empty).collect();
-    let mut profiles = share_profiles(&map, config, &empty);
+    let mut profiles = share_profiles(&map, &empty);
     let mut passes = 0;
     loop {
         passes += 1;
@@ -1024,14 +1019,13 @@ pub fn run_cell_fleet(
         };
         let digest = Fleet { chunk, ..Fleet::new(homes, spec) }.run(pool);
         let loads = digest.cells.loads(config.cells, config.scale_per_home);
-        let mut next = share_profiles(&map, config, &loads);
-        // Relax: move only `damping` of the way toward the implied
+        let mut next = share_profiles(&map, &loads);
+        // Relax: move only `DAMPING` of the way toward the implied
         // shares, so the load↔share oscillation contracts.
         for (new, old) in next.iter_mut().zip(profiles.iter()) {
             for h in 0..24 {
-                new.down_bps[h] =
-                    old.down_bps[h] + config.damping * (new.down_bps[h] - old.down_bps[h]);
-                new.up_bps[h] = old.up_bps[h] + config.damping * (new.up_bps[h] - old.up_bps[h]);
+                new.down_bps[h] = old.down_bps[h] + DAMPING * (new.down_bps[h] - old.down_bps[h]);
+                new.up_bps[h] = old.up_bps[h] + DAMPING * (new.up_bps[h] - old.up_bps[h]);
             }
         }
         let shift = profiles

@@ -47,7 +47,7 @@ impl Report {
     /// builder is the only way to construct a `Report` field-by-field,
     /// and call sites read naturally.
     #[allow(clippy::new_ret_no_self)]
-    pub fn new(id: &'static str, title: &'static str) -> ReportBuilder {
+    pub(crate) fn new(id: &'static str, title: &'static str) -> ReportBuilder {
         ReportBuilder { id, title, headers: Vec::new(), rows: Vec::new(), checks: Vec::new() }
     }
 
@@ -99,7 +99,7 @@ impl Report {
 /// table once on [`ReportBuilder::finish`] — replacing the ad-hoc
 /// row-vector bookkeeping every experiment module used to repeat.
 #[derive(Debug, Clone)]
-pub struct ReportBuilder {
+pub(crate) struct ReportBuilder {
     id: &'static str,
     title: &'static str,
     headers: Vec<&'static str>,

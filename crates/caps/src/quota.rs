@@ -48,11 +48,6 @@ impl QuotaTracker {
         QuotaTracker { allowance_bytes, used_bytes: 0.0 }
     }
 
-    /// The period's allowance, bytes.
-    pub fn allowance_bytes(&self) -> f64 {
-        self.allowance_bytes
-    }
-
     /// 3GOL bytes consumed so far (`U(t)`).
     pub fn used_bytes(&self) -> f64 {
         self.used_bytes

@@ -36,14 +36,9 @@ impl WifiStandard {
 ///
 /// ATM framing (~10 %), PPP/TCP/IP overhead and interleaving put the
 /// achieved ADSL goodput well below sync rate; calibrated jointly with
-/// [`request_overhead_secs`] against the paper's Fig 6 ADSL-only
+/// the per-request overhead model against the paper's Fig 6 ADSL-only
 /// download times (41 s / 127 s for Q1 / Q4 on the 2 Mbit/s line).
 pub const ADSL_EFFICIENCY: f64 = 0.63;
-
-/// Flat per-HTTP-request overhead used where a single number is needed
-/// (the value [`request_overhead_secs`] yields on a ~1.3 Mbit/s
-/// effective path).
-pub const PER_REQUEST_OVERHEAD_SECS: f64 = 0.45;
 
 /// Per-HTTP-request overhead (seconds) on a path of nominal goodput
 /// `rate_bps`: request/response RTT plus the TCP slow-start ramp each
@@ -52,7 +47,7 @@ pub const PER_REQUEST_OVERHEAD_SECS: f64 = 0.45;
 /// happens below line rate, which is exactly the serialized cost
 /// 3GOL's parallel fetches hide. Calibrated so the 2 Mbit/s line of
 /// Fig 6 sees ~0.45 s/request.
-pub fn request_overhead_secs(rate_bps: f64) -> f64 {
+pub(crate) fn request_overhead_secs(rate_bps: f64) -> f64 {
     const RTT_SECS: f64 = 0.1;
     const MSS_BITS: f64 = 11_680.0; // 1460-byte segments
     let ramp_rounds = (rate_bps * RTT_SECS / MSS_BITS).max(1.0).log2();
@@ -94,7 +89,7 @@ impl HomeNetwork {
 
     /// Build the home with phones of a specific radio generation (the
     /// paper's §2.3 LTE outlook uses [`RadioGeneration::Lte`]).
-    pub fn build_with_generation(
+    pub(crate) fn build_with_generation(
         sim: &mut Simulation,
         profile: LocationProfile,
         n_phones: usize,
@@ -144,7 +139,7 @@ impl HomeNetwork {
     }
 
     /// Upload path through the residential gateway.
-    pub fn adsl_upload_path(&self) -> Vec<LinkId> {
+    pub(crate) fn adsl_upload_path(&self) -> Vec<LinkId> {
         vec![self.wifi, self.adsl_up, self.server_up]
     }
 
@@ -157,7 +152,7 @@ impl HomeNetwork {
     }
 
     /// Upload path through phone `i`.
-    pub fn phone_upload_path(&self, i: usize) -> Vec<LinkId> {
+    pub(crate) fn phone_upload_path(&self, i: usize) -> Vec<LinkId> {
         let mut p = vec![self.wifi];
         p.extend(self.cell.ul_path(self.phones[i]));
         p.push(self.server_up);

@@ -25,7 +25,7 @@ use crate::vod::VodExperiment;
 
 /// Throughput penalty of coupled congestion control relative to a
 /// plain single-path TCP flow (window coupling across lossy subflows).
-pub const COUPLING_PENALTY: f64 = 1.05;
+pub(crate) const COUPLING_PENALTY: f64 = 1.05;
 
 /// Download time of the experiment's video over coupled MPTCP: the
 /// best single path carries everything sequentially, slowed by the

@@ -65,7 +65,7 @@ impl ServicePolicy {
     /// Network-integrated mode grants all-or-nothing (one permit check
     /// covers the cell area); multi-provider mode admits exactly the
     /// phones with positive quota.
-    pub fn admissible_indices(
+    pub(crate) fn admissible_indices(
         &self,
         provisioning: Provisioning,
         now: SimTime,
@@ -89,8 +89,7 @@ impl ServicePolicy {
         }
     }
 
-    /// Convenience: how many phones may assist (see
-    /// [`ServicePolicy::admissible_indices`]).
+    /// Convenience: how many phones may assist.
     pub fn admissible_count(
         &self,
         provisioning: Provisioning,

@@ -3,8 +3,7 @@
 //! [`HttpStream`] wraps any `AsyncRead + AsyncWrite` transport and
 //! carries the read buffer across messages, so a connection can serve
 //! sequential request/response exchanges (the prototype's proxies keep
-//! connections alive per transfer). The free functions are one-shot
-//! conveniences over a fresh buffer.
+//! connections alive per transfer).
 //!
 //! Heads and bodies are split: `read_request_head`/`read_response_head`
 //! return the parsed head plus a [`Body`] handle. The handle either
@@ -123,7 +122,7 @@ pub struct RequestHead {
 
 impl RequestHead {
     /// Attach a materialized body, recovering a full [`Request`].
-    pub fn into_request(self, body: Bytes) -> Request {
+    pub(crate) fn into_request(self, body: Bytes) -> Request {
         Request {
             method: self.method,
             target: self.target,
@@ -149,7 +148,7 @@ pub struct ResponseHead {
 
 impl ResponseHead {
     /// Attach a materialized body, recovering a full [`Response`].
-    pub fn into_response(self, body: Bytes) -> Response {
+    pub(crate) fn into_response(self, body: Bytes) -> Response {
         Response {
             status: self.status,
             reason: self.reason,
@@ -187,17 +186,6 @@ pub enum Body {
     Full(Bytes),
     /// The body is still on the wire, framed as described.
     Stream(BodyFraming),
-}
-
-impl Body {
-    /// The framing this body had (or would have) on the wire.
-    pub fn framing(&self) -> BodyFraming {
-        match self {
-            Body::Full(b) if b.is_empty() => BodyFraming::None,
-            Body::Full(b) => BodyFraming::Length(b.len()),
-            Body::Stream(f) => *f,
-        }
-    }
 }
 
 /// Derive the body framing from a parsed header block. Mirrors the
@@ -242,12 +230,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
     /// what it uses.
     pub fn new(io: T) -> HttpStream<T> {
         HttpStream { io, buf: BytesMut::new(), head_buf: BytesMut::new() }
-    }
-
-    /// Consume the wrapper, returning the transport (leftover buffered
-    /// bytes are discarded).
-    pub fn into_inner(self) -> T {
-        self.io
     }
 
     /// The underlying transport, e.g. as the sink for another stream's
@@ -543,19 +525,33 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         Ok(())
     }
 
-    /// Read and consume one chunk size line, returning the size.
-    async fn read_chunk_size_line(&mut self) -> Result<usize, HttpError> {
+    /// Fill the buffer until it starts with a CRLF-terminated line and
+    /// return the line's length (without the CRLF). Chunk-size and
+    /// trailer lines are bounded like heads: a line longer than
+    /// [`MAX_HEADER_BYTES`] is refused instead of buffered.
+    async fn fill_line(&mut self) -> Result<usize, HttpError> {
         let mut scanned = 0;
-        let line_end = loop {
+        loop {
             if let Some(pos) = find_from(&self.buf, scanned, b"\r\n") {
-                break pos;
+                if pos > MAX_HEADER_BYTES {
+                    return Err(HttpError::HeadersTooLarge);
+                }
+                return Ok(pos);
             }
             scanned = self.buf.len();
+            if self.buf.len() > MAX_HEADER_BYTES {
+                return Err(HttpError::HeadersTooLarge);
+            }
             let n = self.io.read_buf(&mut self.buf).await?;
             if n == 0 {
                 return Err(HttpError::UnexpectedEof);
             }
-        };
+        }
+    }
+
+    /// Read and consume one chunk size line, returning the size.
+    async fn read_chunk_size_line(&mut self) -> Result<usize, HttpError> {
+        let line_end = self.fill_line().await?;
         let size = {
             let size_text = std::str::from_utf8(&self.buf[..line_end])
                 .map_err(|_| HttpError::Malformed("bad chunk size".into()))?;
@@ -581,17 +577,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
     /// and including the blank line.
     async fn consume_trailers(&mut self) -> Result<(), HttpError> {
         loop {
-            let mut scanned = 0;
-            let pos = loop {
-                if let Some(pos) = find_from(&self.buf, scanned, b"\r\n") {
-                    break pos;
-                }
-                scanned = self.buf.len();
-                let n = self.io.read_buf(&mut self.buf).await?;
-                if n == 0 {
-                    return Err(HttpError::UnexpectedEof);
-                }
-            };
+            let pos = self.fill_line().await?;
             self.buf.advance(pos + 2);
             if pos == 0 {
                 return Ok(());
@@ -603,7 +589,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         let mut body = BytesMut::new();
         loop {
             let size = self.read_chunk_size_line().await?;
-            if body.len() + size > MAX_BODY_BYTES {
+            if body.len().saturating_add(size) > MAX_BODY_BYTES {
                 return Err(HttpError::BodyTooLarge);
             }
             if size == 0 {
@@ -708,109 +694,6 @@ async fn write_all_vectored<W: AsyncWrite + Unpin>(
         body = &body[n - from_head..];
     }
     Ok(())
-}
-
-/// One-shot: read a request from `reader` (fresh buffer).
-pub async fn read_request<R: AsyncRead + Unpin>(reader: R) -> Result<Option<Request>, HttpError> {
-    HttpStream::new(ReadOnly(reader)).read_request().await
-}
-
-/// One-shot: read a response from `reader`.
-pub async fn read_response<R: AsyncRead + Unpin>(reader: R) -> Result<Response, HttpError> {
-    HttpStream::new(ReadOnly(reader)).read_response().await
-}
-
-/// One-shot: write a request to `writer`.
-pub async fn write_request<W: AsyncWrite + Unpin>(
-    writer: W,
-    req: &Request,
-) -> Result<(), HttpError> {
-    HttpStream::new(WriteOnly(writer)).write_request(req).await
-}
-
-/// One-shot: write a response to `writer`.
-pub async fn write_response<W: AsyncWrite + Unpin>(
-    writer: W,
-    resp: &Response,
-) -> Result<(), HttpError> {
-    HttpStream::new(WriteOnly(writer)).write_response(resp).await
-}
-
-/// Adapter giving a read-only transport a no-op write half.
-struct ReadOnly<R>(R);
-
-impl<R: AsyncRead + Unpin> AsyncRead for ReadOnly<R> {
-    fn poll_read(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        buf: &mut tokio::io::ReadBuf<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.0).poll_read(cx, buf)
-    }
-}
-
-impl<R: Unpin> AsyncWrite for ReadOnly<R> {
-    fn poll_write(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-        _buf: &[u8],
-    ) -> std::task::Poll<std::io::Result<usize>> {
-        std::task::Poll::Ready(Err(std::io::Error::other("read-only transport")))
-    }
-    fn poll_flush(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::task::Poll::Ready(Ok(()))
-    }
-    fn poll_shutdown(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::task::Poll::Ready(Ok(()))
-    }
-}
-
-/// Adapter giving a write-only transport an EOF read half.
-struct WriteOnly<W>(W);
-
-impl<W: Unpin> AsyncRead for WriteOnly<W> {
-    fn poll_read(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-        _buf: &mut tokio::io::ReadBuf<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::task::Poll::Ready(Ok(())) // immediate EOF
-    }
-}
-
-impl<W: AsyncWrite + Unpin> AsyncWrite for WriteOnly<W> {
-    fn poll_write(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        buf: &[u8],
-    ) -> std::task::Poll<std::io::Result<usize>> {
-        std::pin::Pin::new(&mut self.0).poll_write(cx, buf)
-    }
-    fn poll_flush(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.0).poll_flush(cx)
-    }
-    fn poll_shutdown(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.0).poll_shutdown(cx)
-    }
-    fn poll_write_vectored(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        bufs: &[IoSlice<'_>],
-    ) -> std::task::Poll<std::io::Result<usize>> {
-        std::pin::Pin::new(&mut self.0).poll_write_vectored(cx, bufs)
-    }
 }
 
 #[cfg(test)]
@@ -940,6 +823,54 @@ mod tests {
         assert_eq!(&resp.body[..], b"abc");
     }
 
+    /// Decode `chunks` as a chunked response body twice: materialized
+    /// by `read_body`, then streamed by `pipe_body`.
+    async fn decode_chunked_both_ways(chunks: &[u8]) -> Vec<Result<Vec<u8>, HttpError>> {
+        let mut msg = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        msg.extend_from_slice(chunks);
+        let mut results = Vec::new();
+        for pipe in [false, true] {
+            let (mut client, server) = tokio::io::duplex(256 * 1024);
+            client.write_all(&msg).await.unwrap();
+            drop(client);
+            let mut s = HttpStream::new(server);
+            let (_, body) = s.read_response_head().await.unwrap();
+            results.push(if pipe {
+                let mut sink = Vec::new();
+                s.pipe_body(body, &mut sink).await.map(|_| sink)
+            } else {
+                s.read_body(body).await.map(|b| b.to_vec())
+            });
+        }
+        results
+    }
+
+    #[tokio::test]
+    async fn huge_chunk_size_is_body_too_large() {
+        // The second size line would overflow `received + size`.
+        for got in decode_chunked_both_ways(b"1\r\na\r\nffffffffffffffff\r\nxyz").await {
+            assert!(matches!(got, Err(HttpError::BodyTooLarge)), "{got:?}");
+        }
+    }
+
+    #[tokio::test]
+    async fn overlong_chunk_lines_are_refused() {
+        let mut size_line = vec![b'0'; 70 * 1024];
+        size_line.extend_from_slice(b"1\r\na\r\n0\r\n\r\n");
+        let mut trailer = b"1\r\na\r\n0\r\nX-T: ".to_vec();
+        trailer.extend(std::iter::repeat_n(b'v', 70 * 1024));
+        trailer.extend_from_slice(b"\r\n\r\n");
+        for chunks in [size_line, trailer] {
+            for got in decode_chunked_both_ways(&chunks).await {
+                assert!(matches!(got, Err(HttpError::HeadersTooLarge)), "{got:?}");
+            }
+        }
+        // Leading zeros within the limit still parse.
+        for got in decode_chunked_both_ways(b"0001\r\na\r\n0\r\n\r\n").await {
+            assert_eq!(got.unwrap(), b"a");
+        }
+    }
+
     #[tokio::test]
     async fn close_delimited_body() {
         let (mut client, server) = tokio::io::duplex(1024);
@@ -963,20 +894,6 @@ mod tests {
         });
         let mut s = HttpStream::new(server);
         assert!(matches!(s.read_request().await, Err(HttpError::HeadersTooLarge)));
-    }
-
-    #[tokio::test]
-    async fn one_shot_helpers() {
-        let mut buf = Vec::new();
-        let req = Request::post("/p", "text/plain", Bytes::from_static(b"hi"));
-        write_request(&mut buf, &req).await.unwrap();
-        let got = read_request(&buf[..]).await.unwrap().unwrap();
-        assert_eq!(got.body, req.body);
-
-        let mut buf = Vec::new();
-        write_response(&mut buf, &Response::not_found()).await.unwrap();
-        let got = read_response(&buf[..]).await.unwrap();
-        assert_eq!(got.status, 404);
     }
 
     #[tokio::test]

@@ -11,10 +11,10 @@ pub enum HttpError {
     UnexpectedEof,
     /// The start line or a header could not be parsed.
     Malformed(String),
-    /// Headers exceeded [`crate::MAX_HEADER_BYTES`].
+    /// A head, a chunk-size line or a trailer line exceeded
+    /// [`crate::MAX_HEADER_BYTES`].
     HeadersTooLarge,
-    /// Body exceeded [`crate::MAX_BODY_BYTES`] or declared an invalid
-    /// length.
+    /// Body exceeded 256 MiB or declared an invalid length.
     BodyTooLarge,
     /// A multipart body was malformed.
     BadMultipart(String),

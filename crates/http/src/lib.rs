@@ -15,8 +15,8 @@
 //! * serialization of requests and responses;
 //! * `multipart/form-data` encoding/decoding for photo uploads.
 //!
-//! Hard limits guard against malformed peers: 64 KiB of headers,
-//! 256 MiB bodies.
+//! Hard limits guard against malformed peers: 64 KiB of headers (and
+//! per chunk-size or trailer line), 256 MiB bodies.
 
 #![warn(missing_docs)]
 
@@ -26,10 +26,7 @@ pub mod headers;
 pub mod multipart;
 mod search;
 
-pub use codec::{
-    read_request, read_response, write_request, write_response, Body, BodyFraming, HttpStream,
-    Request, RequestHead, Response, ResponseHead,
-};
+pub use codec::{Body, BodyFraming, HttpStream, Request, RequestHead, Response, ResponseHead};
 pub use error::HttpError;
 pub use headers::Headers;
 pub use multipart::{encode_multipart, parse_multipart, Part};
@@ -38,4 +35,4 @@ pub use multipart::{encode_multipart, parse_multipart, Part};
 pub const MAX_HEADER_BYTES: usize = 64 * 1024;
 
 /// Maximum accepted body, bytes.
-pub const MAX_BODY_BYTES: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 256 * 1024 * 1024;

@@ -25,7 +25,7 @@ use threegol_simnet::stats::Summary;
 use threegol_simnet::{SimEvent, SimTime, Simulation};
 
 /// Probe transfer size: "download and upload 2 MB files" (§3).
-pub const PROBE_BYTES: f64 = 2e6;
+pub(crate) const PROBE_BYTES: f64 = 2e6;
 
 /// Transfer direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

@@ -100,7 +100,7 @@ impl CellProfile {
     }
 
     /// The `(down, up)` share at hour-of-day `hour`, bits/s.
-    pub fn at_hour(&self, hour: f64) -> (f64, f64) {
+    pub(crate) fn at_hour(&self, hour: f64) -> (f64, f64) {
         let h = hour.rem_euclid(24.0).floor() as usize % 24;
         (self.down_bps[h], self.up_bps[h])
     }

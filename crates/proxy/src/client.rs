@@ -35,7 +35,7 @@ use threegol_sched::{
 use crate::throttle::{RateLimit, SharedRateLimit, ThrottledStream};
 
 /// Any bidirectional async byte stream.
-pub trait AsyncStream: AsyncRead + AsyncWrite + Unpin + Send {}
+pub(crate) trait AsyncStream: AsyncRead + AsyncWrite + Unpin + Send {}
 impl<T: AsyncRead + AsyncWrite + Unpin + Send> AsyncStream for T {}
 
 /// Where a path's transfers go.
@@ -159,7 +159,7 @@ impl ThreegolClient {
     /// item's body through `ready_tx` the moment it completes — the
     /// HLS-aware proxy serves segments to the player as they land
     /// rather than waiting for the whole transaction.
-    pub async fn fetch_streaming(
+    pub(crate) async fn fetch_streaming(
         &self,
         targets: Vec<Arc<str>>,
         ready_tx: mpsc::UnboundedSender<(usize, Bytes)>,

@@ -53,7 +53,7 @@ impl DeviceProxy {
     }
 
     /// Retune the 3G bearer (applies to connections opened afterwards).
-    pub fn set_rates(&self, g3_down: RateLimit, g3_up: RateLimit) {
+    pub(crate) fn set_rates(&self, g3_down: RateLimit, g3_up: RateLimit) {
         *self.rates.lock() = (g3_down, g3_up);
     }
 
@@ -109,7 +109,7 @@ impl DeviceProxy {
     /// the phone proxy's memory budget. Chunked/close-delimited bodies
     /// (which the prototype's peers never send) fall back to buffering
     /// and are re-framed with a Content-Length.
-    pub async fn serve_lan_connection(
+    pub(crate) async fn serve_lan_connection(
         &self,
         lan: TcpStream,
     ) -> Result<(), threegol_http::HttpError> {

@@ -112,7 +112,7 @@ impl HlsProxy {
     }
 
     /// Serve one player connection.
-    pub async fn serve_connection(&self, stream: TcpStream) -> Result<(), HttpError> {
+    pub(crate) async fn serve_connection(&self, stream: TcpStream) -> Result<(), HttpError> {
         stream.set_nodelay(true).ok();
         let mut http = HttpStream::new(stream);
         while let Some(req) = http.read_request().await? {
@@ -260,7 +260,7 @@ impl HlsProxy {
     /// Wait until no prefetch transfer is settling its books, so the
     /// per-path tallies below are complete. Returns immediately when
     /// nothing is in flight.
-    pub async fn wait_idle(&self) {
+    pub(crate) async fn wait_idle(&self) {
         loop {
             let notified = self.idle.notified();
             if self.stats.lock().in_flight == 0 {
@@ -270,15 +270,9 @@ impl HlsProxy {
         }
     }
 
-    /// Bytes this proxy's transfers moved per path index (0 = the
-    /// gateway, 1.. = device paths), aborted partials included.
-    pub fn path_bytes(&self) -> Vec<f64> {
-        self.stats.lock().bytes.clone()
-    }
-
     /// Bytes this proxy's transfers moved over device (3G) paths —
     /// the downlink burden the phones' cells carried.
-    pub fn device_bytes(&self) -> f64 {
+    pub(crate) fn device_bytes(&self) -> f64 {
         self.stats.lock().bytes.iter().skip(1).sum()
     }
 

@@ -156,10 +156,10 @@ pub enum Tier {
 
 impl Tier {
     /// Every tier, slowest first.
-    pub const ALL: [Tier; 4] = [Tier::Basic, Tier::Standard, Tier::Fast, Tier::Premium];
+    pub(crate) const ALL: [Tier; 4] = [Tier::Basic, Tier::Standard, Tier::Fast, Tier::Premium];
 
     /// The tier of home `index` in a heterogeneous street: indices
-    /// cycle through [`Tier::ALL`].
+    /// cycle through the four tiers, slowest first.
     pub fn of_index(index: u32) -> Tier {
         Tier::ALL[(index % 4) as usize]
     }
@@ -175,7 +175,7 @@ impl Tier {
     }
 
     /// The tier's ADSL uplink, bits/s.
-    pub fn adsl_up_bps(self) -> f64 {
+    pub(crate) fn adsl_up_bps(self) -> f64 {
         match self {
             Tier::Basic => 0.3e6,
             Tier::Standard => 0.5e6,

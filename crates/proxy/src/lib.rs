@@ -53,7 +53,7 @@ pub mod capacity;
 pub mod client;
 pub mod device;
 pub mod discovery;
-pub mod hlsproxy;
+mod hlsproxy;
 pub mod home;
 pub mod origin;
 pub mod scenario;

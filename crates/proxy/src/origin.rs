@@ -137,7 +137,7 @@ impl OriginServer {
     }
 
     /// Serve one connection until the peer closes it.
-    pub async fn serve_connection(
+    pub(crate) async fn serve_connection(
         &self,
         stream: TcpStream,
     ) -> Result<(), threegol_http::HttpError> {

@@ -281,11 +281,6 @@ impl<T> ThrottledStream<T> {
             write_quantum,
         }
     }
-
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &T {
-        &self.inner
-    }
 }
 
 impl<T: AsyncRead + Unpin> AsyncRead for ThrottledStream<T> {

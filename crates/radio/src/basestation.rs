@@ -13,8 +13,6 @@ use threegol_simnet::dist::mix_seed;
 use crate::consts::{UMTS_DEDICATED_DL_BPS, UMTS_DEDICATED_UL_BPS};
 use crate::efficiency::EfficiencyCurve;
 
-pub use crate::consts::{HSDPA_CELL_MAX_BPS, HSUPA_MAX_BPS};
-
 /// Short-term capacity redraw interval, seconds (HSPA scheduling-grain
 /// variation as seen at the transport layer).
 const CAPACITY_STEP_SECS: f64 = 1.0;
@@ -129,6 +127,7 @@ impl BaseStation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consts::HSUPA_MAX_BPS;
     use threegol_simnet::SimTime;
 
     fn station() -> BaseStation {

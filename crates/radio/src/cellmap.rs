@@ -135,11 +135,11 @@ impl CellMap {
     /// Default homes-per-cell weight tiers by area kind: a dense
     /// residential cell serves 4× the homes of a suburb, office and
     /// tourist cells 2×.
-    pub const DEFAULT_TIERS: [u32; 4] = [4, 2, 2, 1];
+    pub(crate) const DEFAULT_TIERS: [u32; 4] = [4, 2, 2, 1];
 
     /// A city of `cells` cells cycling through the four area kinds
     /// (dense residential, office, tourist, suburban) with the
-    /// [`CellMap::DEFAULT_TIERS`] homes-per-cell weights.
+    /// 4, 2, 2 and 1 homes-per-cell weights.
     pub fn city(cells: u32) -> CellMap {
         CellMap::city_with_tiers(cells, &Self::DEFAULT_TIERS)
     }
@@ -178,7 +178,7 @@ impl CellMap {
     }
 
     /// A city from explicit sites.
-    pub fn from_sites(sites: Vec<CellSite>) -> CellMap {
+    pub(crate) fn from_sites(sites: Vec<CellSite>) -> CellMap {
         assert!(!sites.is_empty(), "a city needs at least one cell");
         let mut weight_cum = Vec::with_capacity(sites.len());
         let mut acc = 0u32;

@@ -44,9 +44,6 @@ pub const HOUSEHOLD_SIZE: f64 = 4.0;
 /// ADSL penetration assumed in §2.1.
 pub const ADSL_PENETRATION: f64 = 0.8;
 
-/// The monthly data-plan cap of the handsets used in §3, bytes.
-pub const HANDSET_PLAN_CAP_BYTES: f64 = 10.0 * 1e9;
-
 /// Map a 3G signal strength in dBm to a rate multiplier in `(0, 1]`.
 ///
 /// Table 4 reports −81…−97 dBm across the evaluation locations; we map

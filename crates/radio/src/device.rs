@@ -73,15 +73,6 @@ impl Device {
             rrc: RrcMachine::new(crate::lte::RadioGeneration::Lte.rrc_config()),
         }
     }
-
-    /// A device with custom category and RRC timings.
-    pub fn with_config(
-        name: impl Into<String>,
-        category: DeviceCategory,
-        rrc: RrcConfig,
-    ) -> Device {
-        Device { name: name.into(), category, rrc: RrcMachine::new(rrc) }
-    }
 }
 
 #[cfg(test)]

@@ -88,7 +88,7 @@ impl EfficiencyCurve {
     }
 
     /// The `(cluster_size, per_device_bps)` anchor points.
-    pub fn anchors(&self) -> &[(f64, f64)] {
+    pub(crate) fn anchors(&self) -> &[(f64, f64)] {
         &self.anchors
     }
 

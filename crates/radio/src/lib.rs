@@ -18,7 +18,7 @@
 //! near the 5.76 Mbit/s HSUPA ceiling).
 //!
 //! For the city-scale aggregate analysis (§6, Fig 11) the crate also
-//! provides [`cellmap`]: a deterministic grid of shared cells under a
+//! provides [`CellMap`]: a deterministic grid of shared cells under a
 //! streamed fleet of homes, with weighted home→cell assignment,
 //! wired-diurnal hour assignment, and the feedback law that turns a
 //! measured per-cell 3GOL load into next-pass per-phone capacity
@@ -26,8 +26,8 @@
 
 #![warn(missing_docs)]
 
-pub mod basestation;
-pub mod cellmap;
+mod basestation;
+mod cellmap;
 pub mod consts;
 pub mod device;
 pub mod efficiency;

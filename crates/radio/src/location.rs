@@ -118,7 +118,7 @@ impl LocationProfile {
 
     /// Calibrate `cell_factor_dl`/`cell_factor_ul` so that the expected
     /// 3-device aggregate at `hour` matches the paper-measured targets.
-    pub fn calibrate(&mut self, target_dl_bps: f64, target_ul_bps: f64, hour: f64) {
+    pub(crate) fn calibrate(&mut self, target_dl_bps: f64, target_ul_bps: f64, hour: f64) {
         let dl_curve = EfficiencyCurve::paper_downlink();
         let ul_curve = EfficiencyCurve::paper_uplink();
         let base_dl = self.expected_aggregate(&dl_curve, 1.0, 3, hour);

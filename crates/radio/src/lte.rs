@@ -11,7 +11,7 @@
 //! rates of the era), raises the channel ceilings (20 MHz cat-3 LTE:
 //! ~75 Mbit/s down, ~25 Mbit/s up per cell), and shrinks the RRC
 //! promotion delay to ~100 ms (LTE RRC connection setup). The ablation
-//! bench `abl03_ablation` quantifies the §2.3 claim.
+//! `abl03` (`repro_all abl03`) quantifies the §2.3 claim.
 
 use crate::efficiency::EfficiencyCurve;
 use crate::rrc::RrcConfig;
@@ -26,10 +26,10 @@ pub enum RadioGeneration {
 }
 
 /// LTE cell downlink ceiling, bits/s (20 MHz, cat-3 era deployment).
-pub const LTE_CELL_DL_MAX_BPS: f64 = 75e6;
+pub(crate) const LTE_CELL_DL_MAX_BPS: f64 = 75e6;
 
 /// LTE cell uplink ceiling, bits/s.
-pub const LTE_CELL_UL_MAX_BPS: f64 = 25e6;
+pub(crate) const LTE_CELL_UL_MAX_BPS: f64 = 25e6;
 
 /// Rate multiplier of early LTE over the paper's HSPA measurements.
 pub const LTE_RATE_MULTIPLIER: f64 = 5.0;

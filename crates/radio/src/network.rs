@@ -131,11 +131,6 @@ impl InstalledCell {
         &self.profile
     }
 
-    /// The deployment's radio generation.
-    pub fn generation(&self) -> RadioGeneration {
-        self.generation
-    }
-
     /// A device matching this deployment's generation (Galaxy S II for
     /// HSPA, an LTE cat-3 handset for LTE).
     pub fn default_device(&self, name: impl Into<String>) -> Device {
@@ -228,11 +223,6 @@ impl InstalledCell {
     /// Which base station the attachment is associated with.
     pub fn station_of(&self, att: Attachment) -> usize {
         self.devices[att.0].bs
-    }
-
-    /// The attached device (mutable; e.g., to drive its RRC machine).
-    pub fn device_mut(&mut self, att: Attachment) -> &mut Device {
-        &mut self.devices[att.0].device
     }
 
     /// The attached device.

@@ -68,11 +68,6 @@ impl RrcMachine {
         RrcMachine { config, state: RrcState::Idle, last_activity: SimTime::ZERO }
     }
 
-    /// The machine's configuration.
-    pub fn config(&self) -> &RrcConfig {
-        &self.config
-    }
-
     /// The state at time `now`, applying any inactivity demotions that
     /// have elapsed since the last recorded activity.
     pub fn state_at(&self, now: SimTime) -> RrcState {

@@ -34,9 +34,9 @@
 
 pub mod estimator;
 pub mod greedy;
-pub mod mintime;
+mod mintime;
 pub mod playout;
-pub mod roundrobin;
+mod roundrobin;
 pub mod toy;
 pub mod transaction;
 

@@ -219,18 +219,6 @@ impl CapacityProcess {
             }
         }
     }
-
-    /// Mean capacity of the process ignoring stochastic variation
-    /// (useful for sanity checks and back-of-envelope figures).
-    pub fn nominal(&self) -> f64 {
-        match self {
-            CapacityProcess::Constant(bps) => *bps,
-            CapacityProcess::Piecewise(points) => {
-                points.iter().map(|(_, c)| *c).sum::<f64>() / points.len() as f64
-            }
-            CapacityProcess::Stochastic { base, .. } => *base,
-        }
-    }
 }
 
 #[cfg(test)]

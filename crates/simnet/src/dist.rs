@@ -45,7 +45,7 @@ impl SimRng {
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         debug_assert!(hi >= lo);
         lo + (hi - lo) * self.uniform()
     }
@@ -63,7 +63,7 @@ impl SimRng {
 
     /// Standard normal via Box–Muller (one value per call; we discard the
     /// cosine twin for simplicity — sampling is far from any hot path).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Guard against ln(0).
         let u1 = self.uniform().max(f64::MIN_POSITIVE);
         let u2 = self.uniform();
@@ -139,7 +139,7 @@ pub fn mix_seed(seed: u64, salt: u64) -> u64 {
 }
 
 /// Convert a lognormal's (mean, sd) into the underlying normal's (mu, sigma).
-pub fn lognormal_params(mean: f64, sd: f64) -> (f64, f64) {
+pub(crate) fn lognormal_params(mean: f64, sd: f64) -> (f64, f64) {
     assert!(mean > 0.0, "lognormal mean must be positive");
     let cv2 = (sd / mean).powi(2);
     let sigma2 = (1.0 + cv2).ln();

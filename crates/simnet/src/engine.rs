@@ -507,11 +507,6 @@ impl Simulation {
         &self.links[link.0]
     }
 
-    /// Number of registered links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Iterate over all links with their ids (byte accounting settled).
     pub fn links(&mut self) -> impl Iterator<Item = (LinkId, &Link)> {
         let now = self.now;
@@ -853,18 +848,6 @@ impl Simulation {
         }
     }
 
-    /// Earliest *genuine* completion instant (stale tops are repaired
-    /// or dropped along the way). Used by [`Simulation::peek_time`],
-    /// which must not report a stale instant.
-    fn peek_completion(&mut self) -> SimTime {
-        while !self.completions.is_empty() {
-            if let Some(t) = self.validate_completion_top() {
-                return t;
-            }
-        }
-        SimTime::FAR_FUTURE
-    }
-
     /// Earliest valid capacity-calendar entry (stale tops dropped).
     fn peek_capacity(&mut self) -> SimTime {
         while let Some(&Reverse((t, l, epoch))) = self.cap_events.peek() {
@@ -1193,31 +1176,6 @@ impl Simulation {
             self.recompute_rates();
         }
         self.links[link.0].rate_sum
-    }
-
-    /// The time of the next event without consuming it (recomputes rates
-    /// if needed).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let due = if self.reference_scan { self.scan_completion() } else { self.peek_completion() };
-        if due <= self.now {
-            return Some(self.now);
-        }
-        if self.rates_dirty {
-            self.recompute_rates();
-        }
-        let t_complete =
-            if self.reference_scan { self.scan_completion() } else { self.peek_completion() };
-        let t_capacity =
-            if self.reference_scan { self.scan_capacity_change() } else { self.peek_capacity() };
-        let mut t = t_complete.min(t_capacity);
-        if let Some(Reverse((tw, _, _))) = self.wakeups.peek() {
-            t = t.min(*tw);
-        }
-        if t >= SimTime::FAR_FUTURE {
-            None
-        } else {
-            Some(t)
-        }
     }
 
     /// Step via the retained global-scan reference logic instead of the

@@ -53,7 +53,7 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Percentile of an already-sorted sample.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -87,7 +87,7 @@ pub struct CellLoad {
 
 /// Minimum video size worth accelerating (paper: > 750 KB, "more than
 /// 2 seconds on DSL").
-pub const MIN_BOOST_BYTES: f64 = 750e3;
+pub(crate) const MIN_BOOST_BYTES: f64 = 750e3;
 
 /// Fig 11b: traffic onloaded onto the cellular network in 5-minute
 /// bins. Capped mode accelerates each user's qualifying videos until
