@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -186,7 +186,7 @@ where
     }
     let units = Arc::new(units);
     let f = Arc::new(f);
-    let (tx, rx) = mpsc::channel();
+    let (tx, rx) = channel();
     for index in 0..n {
         let units = Arc::clone(&units);
         let f = Arc::clone(&f);

@@ -84,9 +84,6 @@ pub(crate) trait Experiment {
     /// Stable experiment id (e.g. `"fig06"`), unique in the registry.
     fn id(&self) -> &'static str;
 
-    /// The paper artifact this reproduces (e.g. `"Figure 6"`).
-    fn paper_artifact(&self) -> &'static str;
-
     /// Decompose the experiment at `scale` into replication units.
     /// The returned order is the merge order.
     fn units(&self, scale: Scale) -> Vec<Self::Unit>;
@@ -104,9 +101,6 @@ pub(crate) trait Experiment {
 pub trait DynExperiment: Send + Sync {
     /// Stable experiment id (e.g. `"fig06"`).
     fn id(&self) -> &'static str;
-
-    /// The paper artifact this reproduces (e.g. `"Figure 6"`).
-    fn paper_artifact(&self) -> &'static str;
 
     /// Number of replication units at `scale`.
     fn unit_count(&self, scale: Scale) -> usize;
@@ -128,10 +122,6 @@ where
         Experiment::id(self)
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        Experiment::paper_artifact(self)
-    }
-
     fn unit_count(&self, scale: Scale) -> usize {
         self.units(scale).len()
     }
@@ -149,43 +139,38 @@ where
     }
 }
 
-/// The 17 paper experiments, in paper order.
-static PAPER: &[&dyn DynExperiment] = &[
-    &experiments::cap02::Cap02,
-    &experiments::fig01::Fig01,
-    &experiments::fig03::Fig03,
-    &experiments::fig04::Fig04,
-    &experiments::fig05::Fig05,
-    &experiments::tab02::Tab02,
-    &experiments::tab03::Tab03,
-    &experiments::fig06::Fig06,
-    &experiments::fig07::Fig07,
-    &experiments::fig08::Fig08,
-    &experiments::fig09::Fig09,
-    &experiments::fig10::Fig10,
-    &experiments::fig11a::Fig11a,
-    &experiments::fig11b::Fig11b,
-    &experiments::fig11c::Fig11c,
-    &experiments::tab04::Tab04,
-    &experiments::est06::Est06,
-];
-
-/// The 5 ablations beyond the paper's evaluation.
-static ABLATIONS: &[&dyn DynExperiment] = &[
-    &experiments::abl01::Abl01,
-    &experiments::abl02::Abl02,
-    &experiments::abl03::Abl03,
-    &experiments::abl04::Abl04,
-    &experiments::abl05::Abl05,
-];
-
-/// The static experiment registry: paper experiments then ablations.
+/// The static experiment registry: the 17 paper experiments in paper
+/// order, then the 5 ablations in id order.
 pub struct Registry {
-    paper: &'static [&'static dyn DynExperiment],
-    ablations: &'static [&'static dyn DynExperiment],
+    experiments: &'static [&'static dyn DynExperiment],
 }
 
-static REGISTRY: Registry = Registry { paper: PAPER, ablations: ABLATIONS };
+static REGISTRY: Registry = Registry {
+    experiments: &[
+        &experiments::cap02::Cap02,
+        &experiments::fig01::Fig01,
+        &experiments::fig03::Fig03,
+        &experiments::fig04::Fig04,
+        &experiments::fig05::Fig05,
+        &experiments::tab02::Tab02,
+        &experiments::tab03::Tab03,
+        &experiments::fig06::Fig06,
+        &experiments::fig07::Fig07,
+        &experiments::fig08::Fig08,
+        &experiments::fig09::Fig09,
+        &experiments::fig10::Fig10,
+        &experiments::fig11a::Fig11a,
+        &experiments::fig11b::Fig11b,
+        &experiments::fig11c::Fig11c,
+        &experiments::tab04::Tab04,
+        &experiments::est06::Est06,
+        &experiments::abl01::Abl01,
+        &experiments::abl02::Abl02,
+        &experiments::abl03::Abl03,
+        &experiments::abl04::Abl04,
+        &experiments::abl05::Abl05,
+    ],
+};
 
 /// The registry of every experiment, in paper order.
 pub fn registry() -> &'static Registry {
@@ -193,19 +178,9 @@ pub fn registry() -> &'static Registry {
 }
 
 impl Registry {
-    /// The paper experiments, in paper order.
-    pub fn paper(&self) -> impl Iterator<Item = &'static dyn DynExperiment> + '_ {
-        self.paper.iter().copied()
-    }
-
-    /// The ablations, in id order.
-    pub fn ablations(&self) -> impl Iterator<Item = &'static dyn DynExperiment> + '_ {
-        self.ablations.iter().copied()
-    }
-
     /// Every experiment: paper order, then ablations.
     pub fn all(&self) -> impl Iterator<Item = &'static dyn DynExperiment> + '_ {
-        self.paper().chain(self.ablations())
+        self.experiments.iter().copied()
     }
 
     /// Look an experiment up by id.
@@ -231,17 +206,15 @@ mod tests {
 
     #[test]
     fn registry_has_every_id_exactly_once_in_paper_order() {
-        let paper_ids: Vec<&str> = registry().paper().map(|e| e.id()).collect();
+        let mut all: Vec<&str> = registry().all().map(|e| e.id()).collect();
         assert_eq!(
-            paper_ids,
+            all,
             [
                 "cap02", "fig01", "fig03", "fig04", "fig05", "tab02", "tab03", "fig06", "fig07",
-                "fig08", "fig09", "fig10", "fig11a", "fig11b", "fig11c", "tab04", "est06",
+                "fig08", "fig09", "fig10", "fig11a", "fig11b", "fig11c", "tab04", "est06", "abl01",
+                "abl02", "abl03", "abl04", "abl05",
             ]
         );
-        let ablation_ids: Vec<&str> = registry().ablations().map(|e| e.id()).collect();
-        assert_eq!(ablation_ids, ["abl01", "abl02", "abl03", "abl04", "abl05"]);
-        let mut all: Vec<&str> = registry().all().map(|e| e.id()).collect();
         assert_eq!(all.len(), 22);
         all.sort_unstable();
         all.dedup();

@@ -57,10 +57,6 @@ impl Experiment for Abl01 {
         "abl01"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Ablation: Wi-Fi LAN standard"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(10, scale.get());
         (0..2)

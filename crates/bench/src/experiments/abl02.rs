@@ -62,10 +62,6 @@ impl Experiment for Abl02 {
         "abl02"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Ablation: playout-aware scheduling"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(10, scale.get());
         (0..4).flat_map(|cfg| (0..n_reps).map(move |rep| Unit { cfg, rep })).collect()

@@ -45,10 +45,6 @@ impl Experiment for Abl03 {
         "abl03"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Ablation: LTE outlook (§2.3)"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(10, scale.get());
         let mut units = vec![Unit { generation: RadioGeneration::Hspa, n_phones: 0, n_reps }];

@@ -43,10 +43,6 @@ impl Experiment for Abl04 {
         "abl04"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Ablation: deployment modes (§2.4 vs §6)"
-    }
-
     fn units(&self, _scale: Scale) -> Vec<Unit> {
         (0..2)
             .flat_map(|mode| {

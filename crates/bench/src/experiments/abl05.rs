@@ -44,10 +44,6 @@ impl Experiment for Abl05 {
         "abl05"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Ablation: MPTCP comparison (§5.2)"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(10, scale.get());
         (0..VideoQuality::paper_ladder().len()).map(|qi| Unit { qi, n_reps }).collect()

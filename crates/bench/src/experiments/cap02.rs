@@ -18,10 +18,6 @@ impl Experiment for Cap02 {
         "cap02"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "§2.1 back-of-the-envelope estimate"
-    }
-
     fn units(&self, _scale: Scale) -> Vec<()> {
         vec![()]
     }

@@ -31,10 +31,6 @@ impl Experiment for Est06 {
         "est06"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "§6 allowance estimator"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         vec![Unit { n_users: ((20_000.0 * scale.get()) as usize).max(2_000) }]
     }

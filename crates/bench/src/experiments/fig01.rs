@@ -19,10 +19,6 @@ impl Experiment for Fig01 {
         "fig01"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 1"
-    }
-
     fn units(&self, _scale: Scale) -> Vec<()> {
         vec![()]
     }

@@ -46,10 +46,6 @@ impl Experiment for Fig03 {
         "fig03"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 3"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(4, scale.get());
         (0..4).flat_map(|li| (1..=10).map(move |n| Unit { li, n, n_reps })).collect()

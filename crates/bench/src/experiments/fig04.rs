@@ -43,10 +43,6 @@ impl Experiment for Fig04 {
         "fig04"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 4"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let days = if scale.get() >= 0.8 { 5 } else { 2 };
         let hours: Vec<f64> = if scale.get() >= 0.8 {

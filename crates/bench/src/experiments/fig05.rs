@@ -47,10 +47,6 @@ impl Experiment for Fig05 {
         "fig05"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 5"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let days = if scale.get() >= 0.8 { 5 } else { 2 };
         let all_hours = scale.get() >= 0.8;

@@ -56,10 +56,6 @@ impl Experiment for Fig06 {
         "fig06"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 6"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(30, scale.get());
         (0..4)

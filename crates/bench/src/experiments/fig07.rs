@@ -70,10 +70,6 @@ impl Experiment for Fig07 {
         "fig07"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 7"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = n_reps_at(scale);
         let mut units = Vec::new();

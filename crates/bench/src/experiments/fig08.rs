@@ -49,10 +49,6 @@ impl Experiment for Fig08 {
         "fig08"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 8"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = n_reps_at(scale);
         let n_locs = LocationProfile::paper_table4().len();

@@ -38,10 +38,6 @@ impl Experiment for Fig09 {
         "fig09"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 9"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(10, scale.get());
         (0..LocationProfile::paper_table4().len())

@@ -26,10 +26,6 @@ impl Experiment for Fig10 {
         "fig10"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 10"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         vec![Unit { n_users: ((20_000.0 * scale.get()) as usize).max(2_000) }]
     }

@@ -28,10 +28,6 @@ impl Experiment for Fig11a {
         "fig11a"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 11a"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         vec![Unit { n_users: ((18_000.0 * scale.get()) as usize).max(2_000) }]
     }

@@ -27,10 +27,6 @@ impl Experiment for Fig11b {
         "fig11b"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 11b"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         vec![Unit { n_users: ((18_000.0 * scale.get()) as usize).max(2_000) }]
     }

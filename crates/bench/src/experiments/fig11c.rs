@@ -27,10 +27,6 @@ impl Experiment for Fig11c {
         "fig11c"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Figure 11c"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         vec![Unit { n_users: ((20_000.0 * scale.get()) as usize).max(2_000) }]
     }

@@ -43,10 +43,6 @@ impl Experiment for Tab02 {
         "tab02"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Table 2"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(8, scale.get());
         (0..LocationProfile::paper_table2().len()).map(|li| Unit { li, n_reps }).collect()

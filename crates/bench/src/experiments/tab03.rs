@@ -48,10 +48,6 @@ impl Experiment for Tab03 {
         "tab03"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Table 3"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let days = if scale.get() >= 0.8 { 5 } else { 2 };
         PAPER_MEANS

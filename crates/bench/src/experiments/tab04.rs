@@ -37,10 +37,6 @@ impl Experiment for Tab04 {
         "tab04"
     }
 
-    fn paper_artifact(&self) -> &'static str {
-        "Table 4"
-    }
-
     fn units(&self, scale: Scale) -> Vec<Unit> {
         let n_reps = reps(6, scale.get());
         (0..LocationProfile::paper_table4().len()).map(|li| Unit { li, n_reps }).collect()

@@ -814,11 +814,15 @@ where
     }
 
     /// The pool units: `chunk`-home index ranges covering `0..homes`.
+    /// The chunk is clamped to `1..=homes` before any index narrows to
+    /// `u32`, so an oversized chunk runs the fleet as one unit.
     fn chunks(&self) -> Vec<(u32, u32)> {
         assert!(self.homes <= u32::MAX as usize, "home index space is u32");
-        let homes = self.homes as u32;
-        let chunk = self.chunk.max(1) as u32;
-        (0..homes).step_by(chunk as usize).map(|start| (start, homes.min(start + chunk))).collect()
+        let chunk = self.chunk.clamp(1, self.homes.max(1));
+        (0..self.homes)
+            .step_by(chunk)
+            .map(|start| (start as u32, self.homes.min(start.saturating_add(chunk)) as u32))
+            .collect()
     }
 
     /// Run the fleet and return its digest.

@@ -48,6 +48,27 @@ fn run_prints_the_lines_the_benchmark_parses() {
     }
 }
 
+/// The hex after `report digest` in a successful run's output.
+fn report_digest(args: &[&str]) -> String {
+    let out = fleet(args);
+    assert!(
+        out.status.success(),
+        "fleet {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let (_, hex) = stdout.lines().find_map(|l| l.split_once("report digest ")).expect("a digest");
+    hex.trim().to_string()
+}
+
+#[test]
+fn a_chunk_past_u32_runs_the_fleet_as_one_chunk() {
+    // 2^32 once narrowed to a zero step and 2^32 + 1 to one-home chunks.
+    let whole = report_digest(&["4", "1", "4"]);
+    assert_eq!(report_digest(&["4", "1", "4294967296"]), whole);
+    assert_eq!(report_digest(&["4", "1", "4294967297"]), whole);
+}
+
 #[test]
 fn repro_all_prints_only_the_named_sections_in_registry_order() {
     let out = repro_all(&["0.2", "1", "fig01", "cap02"]);

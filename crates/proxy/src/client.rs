@@ -29,10 +29,10 @@ use threegol_http::codec::HttpStream;
 use threegol_http::multipart::{encode_multipart, multipart_content_type, Part};
 use threegol_http::{HttpError, Request};
 use threegol_sched::{
-    build, MultipathScheduler, Policy, Transaction, TransactionSpec, TransferReport, Transport,
+    Greedy, MultipathScheduler, Transaction, TransactionSpec, TransferReport, Transport,
 };
 
-use crate::throttle::{RateLimit, SharedRateLimit, ThrottledStream};
+use crate::throttle::{SharedRateLimit, ThrottledStream};
 
 /// Any bidirectional async byte stream.
 pub(crate) trait AsyncStream: AsyncRead + AsyncWrite + Unpin + Send {}
@@ -41,16 +41,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin + Send> AsyncStream for T {}
 /// Where a path's transfers go.
 #[derive(Debug, Clone)]
 pub enum PathTarget {
-    /// Straight to the origin through the residential gateway; the
-    /// client applies the ADSL rate profile itself.
-    Gateway {
-        /// Origin address.
-        origin: SocketAddr,
-        /// ADSL downlink profile.
-        down: RateLimit,
-        /// ADSL uplink profile.
-        up: RateLimit,
-    },
     /// Straight to the origin through the residential gateway, drawing
     /// tokens from *shared* ADSL buckets — every connection a home
     /// opens over its DSL line contends for the same capacity, the way
@@ -80,11 +70,6 @@ impl PathTarget {
         wifi: Option<&SharedRateLimit>,
     ) -> std::io::Result<Box<dyn AsyncStream>> {
         let stream: Box<dyn AsyncStream> = match self {
-            PathTarget::Gateway { origin, down, up } => {
-                let tcp = TcpStream::connect(*origin).await?;
-                tcp.set_nodelay(true).ok();
-                Box::new(ThrottledStream::new(tcp, *down, *up))
-            }
             PathTarget::SharedGateway { origin, down, up } => {
                 let tcp = TcpStream::connect(*origin).await?;
                 tcp.set_nodelay(true).ok();
@@ -119,20 +104,19 @@ enum Job {
 /// Per-transfer timeout: a wedged path must not hang the transaction.
 const TRANSFER_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The 3GOL client.
+/// The 3GOL client. It schedules every transaction with the greedy
+/// scheduler, as the paper deploys it.
 pub struct ThreegolClient {
     /// Available paths; index 0 should be the gateway.
     pub paths: Vec<PathTarget>,
-    /// Scheduling policy (the paper deploys [`Policy::Greedy`]).
-    pub policy: Policy,
     /// Shared Wi-Fi medium every connection crosses (None = ideal LAN).
     pub wifi: Option<SharedRateLimit>,
 }
 
 impl ThreegolClient {
-    /// A client over the given paths using the greedy scheduler.
+    /// A client over the given paths.
     pub fn new(paths: Vec<PathTarget>) -> ThreegolClient {
-        ThreegolClient { paths, policy: Policy::Greedy, wifi: None }
+        ThreegolClient { paths, wifi: None }
     }
 
     /// Route every connection through the given shared Wi-Fi bucket.
@@ -149,10 +133,9 @@ impl ThreegolClient {
     pub async fn fetch(
         &self,
         targets: Vec<Arc<str>>,
-        expected_sizes: Option<Vec<f64>>,
     ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
         let jobs: Vec<Job> = targets.into_iter().map(Job::Fetch).collect();
-        self.run(jobs, expected_sizes, None).await
+        self.run(jobs, None, None).await
     }
 
     /// Like [`ThreegolClient::fetch`], but additionally delivers each
@@ -201,7 +184,7 @@ impl ThreegolClient {
                 }
             })
             .collect();
-        let (bodies, report) = self.fetch(targets, None).await?;
+        let (bodies, report) = self.fetch(targets).await?;
         Ok((playlist, bodies, report))
     }
 
@@ -218,7 +201,8 @@ impl ThreegolClient {
         Ok(report)
     }
 
-    /// Drive the client's policy over real connections.
+    /// Drive the greedy scheduler over real connections. Fetches pass
+    /// no `sizes`: their bodies' lengths are unknown until they land.
     async fn run(
         &self,
         jobs: Vec<Job>,
@@ -226,8 +210,8 @@ impl ThreegolClient {
         ready_tx: Option<mpsc::UnboundedSender<(usize, Bytes)>>,
     ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
         let sizes = sizes.unwrap_or_else(|| vec![1.0; jobs.len()]);
-        let mut sched = build(self.policy, TransactionSpec::new(sizes, self.paths.len()));
-        self.drive(jobs, sched.as_mut(), ready_tx).await
+        let mut sched = Greedy::new(TransactionSpec::new(sizes, self.paths.len()));
+        self.drive(jobs, &mut sched, ready_tx).await
     }
 
     /// Drive `sched` over real connections.
@@ -433,15 +417,16 @@ mod tests {
     use super::*;
     use crate::device::DeviceProxy;
     use crate::origin::OriginServer;
-    use threegol_sched::{Command, Greedy, PlayoutAware};
+    use crate::throttle::RateLimit;
+    use threegol_sched::{Command, PlayoutAware};
 
     async fn setup(adsl_bps: f64, phone_bps: Vec<f64>) -> (ThreegolClient, Arc<OriginServer>) {
         let origin = Arc::new(OriginServer::small_for_tests());
         let (origin_addr, _h) = origin.clone().spawn("127.0.0.1:0").await.unwrap();
-        let mut paths = vec![PathTarget::Gateway {
+        let mut paths = vec![PathTarget::SharedGateway {
             origin: origin_addr,
-            down: RateLimit { rate_bps: adsl_bps, burst_bytes: 8192.0 },
-            up: RateLimit { rate_bps: adsl_bps / 4.0, burst_bytes: 8192.0 },
+            down: SharedRateLimit::from(RateLimit { rate_bps: adsl_bps, burst_bytes: 8192.0 }),
+            up: SharedRateLimit::from(RateLimit { rate_bps: adsl_bps / 4.0, burst_bytes: 8192.0 }),
         }];
         for (i, bps) in phone_bps.into_iter().enumerate() {
             let device = Arc::new(DeviceProxy::new(
@@ -477,13 +462,13 @@ mod tests {
         let targets: Vec<Arc<str>> = (0..6).map(|_| Arc::from("/probe.bin")).collect();
         let (single, _o1) = setup(1.6e6, vec![]).await;
         let t0 = Instant::now();
-        let (_, r1) = single.fetch(targets.clone(), None).await.unwrap();
+        let (_, r1) = single.fetch(targets.clone()).await.unwrap();
         let solo = t0.elapsed().as_secs_f64();
         assert!(r1.bytes_per_path.len() == 1);
 
         let (multi, _o2) = setup(1.6e6, vec![1.6e6, 1.6e6]).await;
         let t0 = Instant::now();
-        let (bodies, r2) = multi.fetch(targets, None).await.unwrap();
+        let (bodies, r2) = multi.fetch(targets).await.unwrap();
         let gol = t0.elapsed().as_secs_f64();
         assert!(bodies.iter().all(|b| b.len() == 64_000));
         assert!(gol < solo * 0.75, "3GOL {gol:.2}s vs ADSL {solo:.2}s (report {r2:?})");
@@ -513,7 +498,7 @@ mod tests {
     #[tokio::test]
     async fn missing_asset_fails_cleanly() {
         let (client, _origin) = setup(8e6, vec![]).await;
-        let err = client.fetch(vec!["/does-not-exist".into()], None).await.unwrap_err();
+        let err = client.fetch(vec!["/does-not-exist".into()]).await.unwrap_err();
         assert!(err.to_string().contains("failed"), "{err}");
     }
 
@@ -522,7 +507,7 @@ mod tests {
         // One very slow phone: the gateway should duplicate-and-abort.
         let (client, _origin) = setup(8e6, vec![64_000.0]).await;
         let targets: Vec<Arc<str>> = (0..3).map(|_| Arc::from("/probe.bin")).collect();
-        let (bodies, report) = client.fetch(targets, None).await.unwrap();
+        let (bodies, report) = client.fetch(targets).await.unwrap();
         assert!(bodies.iter().all(|b| b.len() == 64_000));
         assert!(report.aborts >= 1, "{report:?}");
     }

@@ -4,12 +4,12 @@
 //! includes a basic HTTP proxy to serve the requests coming from the
 //! Wi-Fi using the 3G interface." Here the Wi-Fi side is a TCP
 //! listener on the home's virtual-network subnet and the 3G interface
-//! is a throttled upstream connection. The §6 quota tracker gates discovery announcements:
-//! the device only advertises while `A(t) > 0`.
+//! is a throttled upstream connection. The §6 quota tracker gates
+//! discovery: the home's rig ([`crate::Rig::paths`]) announces a device
+//! only while `A(t) > 0`.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use tokio::net::{TcpListener, TcpStream};
@@ -18,7 +18,6 @@ use threegol_caps::QuotaTracker;
 use threegol_http::codec::{Body, BodyFraming, HttpStream};
 use tokio::io::AsyncWriteExt;
 
-use crate::discovery::{Advertisement, Announcer};
 use crate::throttle::{RateLimit, ThrottledStream};
 
 /// The phone-side proxy.
@@ -161,43 +160,6 @@ impl DeviceProxy {
             self.quota.lock().consume((up_bytes + down_bytes) as f64);
         }
         Ok(())
-    }
-
-    /// Announce to the client's discovery listener every `interval`,
-    /// while quota remains (paper: the device withdraws itself when
-    /// `A(t)` hits zero). The task ends when the discovery socket is
-    /// unreachable or the proxy is dropped elsewhere.
-    pub fn spawn_announcer(
-        self: Arc<Self>,
-        discovery_addr: SocketAddr,
-        lan_addr: SocketAddr,
-        interval: Duration,
-    ) -> tokio::task::JoinHandle<()> {
-        tokio::spawn(async move {
-            // One socket for the announcer's lifetime, bound lazily on
-            // the first beacon (a quota-less device never binds at all).
-            let mut announcer = None;
-            loop {
-                if self.should_advertise() {
-                    let ad = Advertisement {
-                        name: self.name.clone(),
-                        proxy_addr: lan_addr,
-                        available_bytes: self.available_bytes(),
-                    };
-                    let sender = match &announcer {
-                        Some(sender) => sender,
-                        None => match Announcer::bind(discovery_addr).await {
-                            Ok(sender) => announcer.insert(sender),
-                            Err(_) => break,
-                        },
-                    };
-                    if sender.announce(&ad).await.is_err() {
-                        break;
-                    }
-                }
-                tokio::time::sleep(interval).await;
-            }
-        })
     }
 }
 

@@ -102,10 +102,10 @@ impl Discovery {
     }
 }
 
-/// A reusable announcement sender: one bound socket for many beacons.
-/// A periodic announcer sends every ~100 ms for its whole lifetime;
-/// binding a fresh socket per beacon (what [`announce`] does) pays
-/// ephemeral-port assignment and socket teardown every tick.
+/// A phone's announcement sender: one bound socket for every beacon
+/// the phone sends. A home's rig binds one per phone at bring-up and
+/// beacons once per session ([`crate::Rig::paths`]), so no beacon pays
+/// ephemeral-port assignment and socket teardown.
 pub struct Announcer {
     socket: UdpSocket,
     to: SocketAddr,
@@ -125,12 +125,6 @@ impl Announcer {
     }
 }
 
-/// Send one announcement datagram to the discovery listener through a
-/// freshly bound socket (see [`Announcer`] for the repeated case).
-pub async fn announce(to: SocketAddr, ad: &Advertisement) -> std::io::Result<()> {
-    Announcer::bind(to).await?.announce(ad).await
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,9 +140,9 @@ mod tests {
     #[tokio::test]
     async fn announce_and_browse() {
         let disc = Discovery::bind("127.0.0.1:0").await.unwrap();
-        let addr = disc.local_addr().unwrap();
-        announce(addr, &ad("phone-2", 10e6)).await.unwrap();
-        announce(addr, &ad("phone-1", 20e6)).await.unwrap();
+        let announcer = Announcer::bind(disc.local_addr().unwrap()).await.unwrap();
+        announcer.announce(&ad("phone-2", 10e6)).await.unwrap();
+        announcer.announce(&ad("phone-1", 20e6)).await.unwrap();
         // Give the listener a moment to process the datagrams.
         tokio::time::sleep(Duration::from_millis(100)).await;
         let ads = disc.admissible();
@@ -162,10 +156,10 @@ mod tests {
     #[tokio::test]
     async fn reannouncement_updates_quota() {
         let disc = Discovery::bind("127.0.0.1:0").await.unwrap();
-        let addr = disc.local_addr().unwrap();
-        announce(addr, &ad("phone-1", 20e6)).await.unwrap();
+        let announcer = Announcer::bind(disc.local_addr().unwrap()).await.unwrap();
+        announcer.announce(&ad("phone-1", 20e6)).await.unwrap();
         tokio::time::sleep(Duration::from_millis(50)).await;
-        announce(addr, &ad("phone-1", 5e6)).await.unwrap();
+        announcer.announce(&ad("phone-1", 5e6)).await.unwrap();
         tokio::time::sleep(Duration::from_millis(100)).await;
         let ads = disc.admissible();
         assert_eq!(ads.len(), 1);

@@ -139,7 +139,7 @@ impl HlsProxy {
     /// untouched — the player picks a variant and requests its media
     /// playlist next, which triggers the prefetch.
     async fn handle_playlist(&self, target: &str) -> Result<Response, HttpError> {
-        let (bodies, report) = self.client.fetch(vec![Arc::from(target)], None).await?;
+        let (bodies, report) = self.client.fetch(vec![Arc::from(target)]).await?;
         self.stats.lock().note(&report);
         let body = bodies.into_iter().next().expect("one body");
         if let Ok(text) = std::str::from_utf8(&body) {
@@ -247,7 +247,7 @@ impl HlsProxy {
             if !in_flight {
                 // Not part of any intercepted playlist: fetch directly.
                 let interned: Arc<str> = Arc::from(target);
-                let (bodies, report) = self.client.fetch(vec![Arc::clone(&interned)], None).await?;
+                let (bodies, report) = self.client.fetch(vec![Arc::clone(&interned)]).await?;
                 self.stats.lock().note(&report);
                 let body = bodies.into_iter().next().expect("one body");
                 self.cache.lock().served.insert(interned);
@@ -291,7 +291,7 @@ impl HlsProxy {
 mod tests {
     use super::*;
     use crate::origin::OriginServer;
-    use crate::throttle::RateLimit;
+    use crate::throttle::SharedRateLimit;
     use crate::PathTarget;
     use threegol_hls::VideoQuality;
 
@@ -299,10 +299,10 @@ mod tests {
         let ladder = vec![VideoQuality::new("Q1", 64e3)];
         let origin = Arc::new(OriginServer::new(&ladder, 10.0, 2.0));
         let (origin_addr, _t) = origin.clone().spawn("127.0.0.1:0").await.unwrap();
-        let client = ThreegolClient::new(vec![PathTarget::Gateway {
+        let client = ThreegolClient::new(vec![PathTarget::SharedGateway {
             origin: origin_addr,
-            down: RateLimit::new(8e6),
-            up: RateLimit::new(2e6),
+            down: SharedRateLimit::from_bps(8_000_000),
+            up: SharedRateLimit::from_bps(2_000_000),
         }]);
         let proxy = Arc::new(HlsProxy::new(client));
         let (addr, _t2) = proxy.clone().spawn("127.0.0.1:0").await.unwrap();

@@ -13,10 +13,11 @@
 //! * [`HomeSpec`] bundles the link profiles (shared ADSL buckets,
 //!   shared Wi-Fi medium, per-phone 3G rates, 3GOL allowance) and the
 //!   workload (VoD prebuffer + concurrent photo upload);
-//! * [`Home::run`] brings the household up once (origin, discovery,
-//!   device proxies, shared media), drives the workload over paths
-//!   found by on-demand discovery, and reports the per-home speedups
-//!   over ADSL alone.
+//! * [`Rig`] brings the household up once (origin, discovery, device
+//!   proxies, shared media) and assembles each session's paths by
+//!   on-demand discovery;
+//! * [`Home::run`] drives the workload on a rig and reports the
+//!   per-home speedups over ADSL alone.
 //!
 //! Every throttle a home's transfers cross is *shared*: the ADSL
 //! down/up buckets are one pair per home ([`PathTarget::SharedGateway`])
@@ -514,16 +515,40 @@ impl Home {
     }
 }
 
-/// A household brought up once, which both scripts run their sessions
-/// on: the origin, the discovery listener, each phone's device proxy
-/// and beacon sender, and the shared media.
-pub(crate) struct Rig {
+/// A live household brought up on its own corner of the virtual
+/// network: the origin, the discovery listener, each phone's device
+/// proxy and beacon sender, and the shared media. Both scripts of
+/// [`Home::run`] run their sessions on one, and so do the integration
+/// tests and the live examples.
+///
+/// Everything a caller varies is a [`HomeSpec`] field or a per-phone
+/// allowance. [`Rig::paths`] is the one place phones announce.
+///
+/// ```
+/// use threegol_proxy::{HomeSpec, Rig};
+///
+/// tokio::runtime::block_on(async {
+///     let spec = HomeSpec::paper_default(7);
+///     let rig = Rig::bring_up(&spec, &[50e6, 0.0]).await.unwrap();
+///     // The gateway, then the one phone that holds quota.
+///     let paths = rig.paths(&spec, 12.0, &[true, true]).await;
+///     assert_eq!(paths.len(), 2);
+///     let client = rig.client(paths);
+///     let (_, segments, _) = client.fetch_hls("/q1/index.m3u8").await.unwrap();
+///     assert_eq!(segments.len(), 5);
+///     assert!(rig.origin.requests_served() >= 6);
+/// });
+/// ```
+pub struct Rig {
     /// The home's address namespace.
-    pub(crate) net: HomeNet,
-    origin: SocketAddr,
+    pub net: HomeNet,
+    /// The home's origin server: its upload sink and request counter.
+    pub origin: Arc<OriginServer>,
+    /// The phones' device proxies, by device index; phone `i` listens
+    /// on [`HomeNet::device`]`(i)`.
+    pub devices: Vec<Arc<DeviceProxy>>,
+    origin_addr: SocketAddr,
     discovery: Discovery,
-    /// The phones' device proxies, by device index.
-    pub(crate) devices: Vec<Arc<DeviceProxy>>,
     /// Each phone's LAN address and beacon sender, by device index.
     beacons: Vec<(SocketAddr, Announcer)>,
     wifi: SharedRateLimit,
@@ -534,15 +559,17 @@ pub(crate) struct Rig {
 impl Rig {
     /// Bring up the origin and the discovery listener, then per phone a
     /// device proxy holding `allowances[i]` bytes of quota and one
-    /// beacon sender, then the shared Wi-Fi and ADSL buckets. Every
-    /// phone starts on the capacity source's rates at `spec.hour`.
-    pub(crate) async fn bring_up(spec: &HomeSpec, allowances: &[f64]) -> Result<Rig, HttpError> {
+    /// beacon sender, then the shared Wi-Fi and ADSL buckets. The home
+    /// has one phone per allowance and lives in the [`HomeNet`] of
+    /// `spec.index % 65536`. Every phone starts on the capacity
+    /// source's rates at `spec.hour`.
+    pub async fn bring_up(spec: &HomeSpec, allowances: &[f64]) -> Result<Rig, HttpError> {
         let net = HomeNet::new((spec.index % (1 << 16)) as u16);
 
         // Origin, behind the home's view of the WAN.
         let ladder = vec![VideoQuality::new("Q1", spec.video_bps)];
         let origin = Arc::new(OriginServer::new(&ladder, spec.video_secs, spec.segment_secs));
-        let (origin_addr, _origin_task) = origin.spawn(&net.origin().to_string()).await?;
+        let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
 
         // The home's broadcast domain: a discovery listener the
         // beacons inside this subnet reach, and nobody else.
@@ -569,7 +596,8 @@ impl Rig {
         // Wi-Fi medium for the whole run.
         Ok(Rig {
             net,
-            origin: origin_addr,
+            origin,
+            origin_addr,
             discovery,
             devices,
             beacons,
@@ -586,12 +614,8 @@ impl Rig {
     /// the gateway. A phone that left the Wi-Fi or ran out of quota is
     /// not announced, so its discovery entry ages out (3 s TTL) and the
     /// session runs on the paths that remain: ADSL alone at worst.
-    pub(crate) async fn paths(
-        &self,
-        spec: &HomeSpec,
-        hour: f64,
-        present: &[bool],
-    ) -> Vec<PathTarget> {
+    /// `present[i]` says whether phone `i` is on the Wi-Fi.
+    pub async fn paths(&self, spec: &HomeSpec, hour: f64, present: &[bool]) -> Vec<PathTarget> {
         let (g3_down, g3_up) = spec.g3.phone_limits(hour);
         for device in &self.devices {
             device.set_rates(g3_down, g3_up);
@@ -610,7 +634,7 @@ impl Rig {
         }
         tokio::time::sleep(Duration::from_millis(10)).await;
         let mut paths = vec![PathTarget::SharedGateway {
-            origin: self.origin,
+            origin: self.origin_addr,
             down: self.adsl_down.clone(),
             up: self.adsl_up.clone(),
         }];
@@ -624,7 +648,7 @@ impl Rig {
     }
 
     /// A client-component app on `paths`, crossing the home's Wi-Fi.
-    pub(crate) fn client(&self, paths: Vec<PathTarget>) -> ThreegolClient {
+    pub fn client(&self, paths: Vec<PathTarget>) -> ThreegolClient {
         ThreegolClient::new(paths).with_wifi(self.wifi.clone())
     }
 }

@@ -28,7 +28,7 @@
 //!   segments, accepts multipart photo uploads, and serves the 2 MB
 //!   probe files of §3;
 //! * [`device::DeviceProxy`] — the phone-side component with quota
-//!   tracking and discovery announcements;
+//!   tracking: its home announces it only while it holds quota;
 //! * [`discovery::Discovery`] — UDP announce/browse inside the home's
 //!   subnet (the prototype's stand-in for Bonjour);
 //! * [`client::ThreegolClient`] — playlist interception, parallel
@@ -43,9 +43,13 @@
 //!   ADSL alone — either the fixed VoD + photo-upload script
 //!   ([`home::Scenario::PaperDefault`]) or a trace-driven multi-day
 //!   scenario with device churn and the live §6 allowance loop
-//!   ([`home::Scenario::Traced`], run by [`scenario`]). Both workloads
-//!   bring the home up the same way and build every session's paths
-//!   by on-demand discovery: one beacon per present phone with quota.
+//!   ([`home::Scenario::Traced`], run by [`scenario`]);
+//! * [`home::Rig`] — the one way a live home comes up. Both workloads,
+//!   the integration tests and the live examples bring the household up
+//!   with [`home::Rig::bring_up`] and build every session's paths with
+//!   [`home::Rig::paths`] by on-demand discovery: one beacon per present
+//!   phone with quota, and the gateway through the home's shared ADSL
+//!   buckets.
 
 #![warn(missing_docs)]
 
@@ -65,7 +69,7 @@ pub use device::DeviceProxy;
 pub use discovery::{Advertisement, Discovery};
 pub use hlsproxy::HlsProxy;
 pub use home::{
-    Home, HomeNet, HomeReport, HomeSpec, Scenario, Tier, MAX_SCENARIO_DAYS, NO_CELL,
+    Home, HomeNet, HomeReport, HomeSpec, Rig, Scenario, Tier, MAX_SCENARIO_DAYS, NO_CELL,
     SCENARIO_FP_SCALE,
 };
 pub use origin::OriginServer;

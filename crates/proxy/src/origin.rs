@@ -163,25 +163,11 @@ impl OriginServer {
                     } else {
                         "application/octet-stream"
                     };
-                    // `Bytes` is reference-counted: `clone`/`slice`
-                    // hand out views of the stored asset, so serving a
-                    // segment never copies its payload.
-                    match req.headers.get("range") {
-                        Some(range) => match parse_byte_range(range, body.len()) {
-                            Some((start, end)) => {
-                                let mut resp = Response::ok(ct, body.slice(start..=end));
-                                resp.status = 206;
-                                resp.reason = "Partial Content".into();
-                                resp.headers.set(
-                                    "Content-Range",
-                                    format!("bytes {start}-{end}/{}", body.len()),
-                                );
-                                resp
-                            }
-                            None => Response::status(416, "Range Not Satisfiable"),
-                        },
-                        None => Response::ok(ct, body.clone()),
-                    }
+                    // `Bytes` is reference-counted: the clone is a
+                    // view of the stored asset, so serving a segment
+                    // never copies its payload. A `Range` header is
+                    // ignored: the whole asset comes back with a 200.
+                    Response::ok(ct, body.clone())
                 }
                 None => Response::not_found(),
             },
@@ -223,43 +209,6 @@ impl OriginServer {
         let mut v: Vec<String> = self.assets.keys().cloned().collect();
         v.sort();
         v
-    }
-}
-
-/// Parse a single `bytes=a-b` range against a body of `len` bytes.
-/// Returns the inclusive `(start, end)` byte positions, or `None` for
-/// unsupported/unsatisfiable ranges (multi-range requests are not
-/// supported — the prototype never issues them).
-fn parse_byte_range(value: &str, len: usize) -> Option<(usize, usize)> {
-    let spec = value.trim().strip_prefix("bytes=")?;
-    if spec.contains(',') || len == 0 {
-        return None;
-    }
-    let (start_s, end_s) = spec.split_once('-')?;
-    match (start_s.trim(), end_s.trim()) {
-        ("", suffix) => {
-            // Suffix range: last N bytes.
-            let n: usize = suffix.parse().ok()?;
-            if n == 0 {
-                return None;
-            }
-            Some((len.saturating_sub(n), len - 1))
-        }
-        (start, "") => {
-            let s: usize = start.parse().ok()?;
-            if s >= len {
-                return None;
-            }
-            Some((s, len - 1))
-        }
-        (start, end) => {
-            let s: usize = start.parse().ok()?;
-            let e: usize = end.parse().ok()?;
-            if s > e || s >= len {
-                return None;
-            }
-            Some((s, e.min(len - 1)))
-        }
     }
 }
 
@@ -324,44 +273,6 @@ mod tests {
         let req =
             Request::post("/upload", &multipart_content_type("b"), Bytes::from_static(b"garbage"));
         assert_eq!(o.handle(&req).status, 400);
-    }
-
-    #[test]
-    fn range_requests() {
-        let o = OriginServer::small_for_tests();
-        let mut req = Request::get("/probe.bin");
-        req.headers.set("Range", "bytes=0-99");
-        let resp = o.handle(&req);
-        assert_eq!(resp.status, 206);
-        assert_eq!(resp.body.len(), 100);
-        assert_eq!(resp.headers.get("content-range"), Some("bytes 0-99/64000"));
-
-        req.headers.set("Range", "bytes=63900-");
-        let resp = o.handle(&req);
-        assert_eq!(resp.status, 206);
-        assert_eq!(resp.body.len(), 100);
-
-        req.headers.set("Range", "bytes=-50");
-        let resp = o.handle(&req);
-        assert_eq!(resp.status, 206);
-        assert_eq!(resp.body.len(), 50);
-
-        req.headers.set("Range", "bytes=99999-100000");
-        assert_eq!(o.handle(&req).status, 416);
-        req.headers.set("Range", "bytes=5-2");
-        assert_eq!(o.handle(&req).status, 416);
-    }
-
-    #[test]
-    fn byte_range_parser() {
-        assert_eq!(parse_byte_range("bytes=0-9", 100), Some((0, 9)));
-        assert_eq!(parse_byte_range("bytes=90-", 100), Some((90, 99)));
-        assert_eq!(parse_byte_range("bytes=-10", 100), Some((90, 99)));
-        assert_eq!(parse_byte_range("bytes=0-1000", 100), Some((0, 99)));
-        assert_eq!(parse_byte_range("bytes=100-", 100), None);
-        assert_eq!(parse_byte_range("bytes=0-1,5-6", 100), None);
-        assert_eq!(parse_byte_range("items=0-1", 100), None);
-        assert_eq!(parse_byte_range("bytes=-0", 100), None);
     }
 
     #[tokio::test]

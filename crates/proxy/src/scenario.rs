@@ -221,15 +221,8 @@ pub async fn run_with_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    use crate::discovery::{Advertisement, Announcer, Discovery};
     use crate::home::{Home, Scenario, Tier};
-    use crate::origin::OriginServer;
-    use crate::throttle::RateLimit;
-    use threegol_http::codec::HttpStream;
-    use threegol_http::Request;
-    use tokio::net::TcpStream;
 
     fn run_traced_home(spec: HomeSpec) -> HomeReport {
         tokio::runtime::block_on(Home::run(&spec)).unwrap()
@@ -280,55 +273,34 @@ mod tests {
     #[test]
     fn quota_exhaustion_withdraws_then_reannounces() {
         // The churn loop at component level: a phone exhausts its daily
-        // allowance mid-upload — the in-flight transfer completes, the
+        // allowance mid-transfer — the in-flight transfer completes, the
         // phone stops advertising (its discovery entry ages out), and
         // the next day's roll-over re-arms it.
         tokio::runtime::block_on(async {
-            let origin = Arc::new(OriginServer::small_for_tests());
-            let (origin_addr, _h) = origin.clone().spawn("127.0.0.1:0").await.unwrap();
-            let discovery = Discovery::bind("127.0.0.1:0").await.unwrap();
-            let discovery_addr = discovery.local_addr().unwrap();
-            // 40 kB daily allowance, exhausted mid-way by a 64 kB probe.
-            let device = Arc::new(DeviceProxy::new(
-                "phone-0",
-                origin_addr,
-                RateLimit::unlimited(),
-                RateLimit::unlimited(),
-                40_000.0,
-            ));
-            let (lan_addr, _h2) = device.clone().spawn("127.0.0.1:0").await.unwrap();
-            let announcer = Announcer::bind(discovery_addr).await.unwrap();
+            // A 1 MB daily allowance, exhausted mid-way by the 2 MB probe.
+            let spec = HomeSpec::paper_default(0).devices(1);
+            let rig = Rig::bring_up(&spec, &[1_000_000.0]).await.unwrap();
+            let device = &rig.devices[0];
+            let paths = rig.paths(&spec, 12.0, &[true]).await;
+            assert_eq!(paths.len(), 2, "armed phone advertises");
 
-            let ad = |device: &DeviceProxy| Advertisement {
-                name: device.name.clone(),
-                proxy_addr: lan_addr,
-                available_bytes: device.available_bytes(),
-            };
-            announcer.announce(&ad(&device)).await.unwrap();
-            tokio::time::sleep(Duration::from_millis(10)).await;
-            assert_eq!(discovery.admissible().len(), 1, "armed phone advertises");
-
-            // Mid-transfer exhaustion: the 64 kB body still arrives in
-            // full even though the 40 kB quota runs dry along the way.
-            let stream = TcpStream::connect(lan_addr).await.unwrap();
-            let mut http = HttpStream::new(stream);
-            http.write_request(&Request::get("/probe.bin")).await.unwrap();
-            let resp = http.read_response().await.unwrap();
-            assert_eq!(resp.body.len(), 64_000, "in-flight transfer completes");
+            // Mid-transfer exhaustion: the 2 MB body still arrives in
+            // full even though the 1 MB quota runs dry along the way.
+            let phone_only = rig.client(paths[1..].to_vec());
+            let (bodies, _) = phone_only.fetch(vec!["/probe.bin".into()]).await.unwrap();
+            assert_eq!(bodies[0].len(), 2_000_000, "in-flight transfer completes");
             assert!(!device.should_advertise(), "exhausted phone withdraws");
-            assert!(device.used_bytes() > 40_000.0, "overrun is recorded, not clipped");
+            assert!(device.used_bytes() > 1_000_000.0, "overrun is recorded, not clipped");
 
-            // The engine never beacons for an exhausted phone, so its
+            // The rig never beacons for an exhausted phone, so its
             // entry ages out of Φ within the TTL.
             tokio::time::sleep(Duration::from_secs(4)).await;
-            assert!(discovery.admissible().is_empty(), "entry expired after TTL");
+            assert_eq!(rig.paths(&spec, 12.0, &[true]).await.len(), 1, "entry expired after TTL");
 
             // Day boundary: a fresh grant re-arms announcements.
-            device.roll_over(40_000.0);
+            device.roll_over(1_000_000.0);
             assert!(device.should_advertise());
-            announcer.announce(&ad(&device)).await.unwrap();
-            tokio::time::sleep(Duration::from_millis(10)).await;
-            assert_eq!(discovery.admissible().len(), 1, "re-announced next day");
+            assert_eq!(rig.paths(&spec, 12.0, &[true]).await.len(), 2, "re-announced next day");
         });
     }
 

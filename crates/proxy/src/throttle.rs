@@ -258,11 +258,6 @@ impl<T> ThrottledStream<T> {
         ThrottledStream::with_shared(inner, read.into(), write.into())
     }
 
-    /// Wrap with a symmetric private limit.
-    pub fn symmetric(inner: T, limit: RateLimit) -> ThrottledStream<T> {
-        ThrottledStream::new(inner, limit, limit)
-    }
-
     /// Wrap `inner` drawing read and write tokens from shared buckets.
     pub fn with_shared(
         inner: T,
@@ -460,7 +455,8 @@ mod tests {
     #[tokio::test]
     async fn unlimited_is_fast() {
         let (mut tx, rx) = tokio::io::duplex(1024 * 1024);
-        let mut throttled = ThrottledStream::symmetric(rx, RateLimit::unlimited());
+        let mut throttled =
+            ThrottledStream::new(rx, RateLimit::unlimited(), RateLimit::unlimited());
         tokio::spawn(async move {
             tx.write_all(&vec![3u8; 500_000]).await.unwrap();
         });

@@ -2,66 +2,49 @@
 //! network (paper §4.1): an origin server, two device proxies with
 //! throttled "3G" bearers and quota tracking, UDP discovery, and the
 //! HLS-aware multipath client — all inside one home's subnet, under
-//! virtual time, with no kernel sockets.
+//! virtual time, with no kernel sockets. The household comes up
+//! through `Rig`, the same rig every fleet home runs on.
 //!
 //! ```text
 //! cargo run --release --example live_proxy
 //! ```
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use threegol::hls::VideoQuality;
-use threegol::proxy::{
-    DeviceProxy, Discovery, HomeNet, OriginServer, PathTarget, RateLimit, ThreegolClient,
-};
+use threegol::proxy::{HomeSpec, PathTarget, Rig, Tier};
 
 #[tokio::main]
 async fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // This demo household owns the 10.0.0.0/24 corner of the virtual
-    // network.
-    let net = HomeNet::new(0);
-
-    // Origin with a short 60 s video at Q1/Q2 (keeps the demo quick).
-    let ladder = vec![VideoQuality::new("Q1", 200e3), VideoQuality::new("Q2", 311e3)];
-    let origin = Arc::new(OriginServer::new(&ladder, 60.0, 10.0));
-    let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
-    println!("origin listening on {origin_addr}");
-
-    // Two phones with ~1.8 Mbit/s HSPA bearers and 20 MB allowances.
-    let discovery = Discovery::bind(&net.discovery().to_string()).await?;
-    let disco_addr = discovery.local_addr()?;
-    for i in 1..=2 {
-        let device = Arc::new(DeviceProxy::new(
-            format!("phone-{i}"),
-            origin_addr,
-            RateLimit::new(1.8e6),
-            RateLimit::new(1.2e6),
-            20e6,
-        ));
-        let (lan_addr, _task) = device.clone().spawn(&net.device(i - 1).to_string()).await?;
-        device.spawn_announcer(disco_addr, lan_addr, Duration::from_millis(200));
-        println!("device phone-{i} proxying on {lan_addr}");
-    }
-    tokio::time::sleep(Duration::from_millis(500)).await;
-
-    // The client discovers the admissible set Φ on the LAN.
-    let phi = discovery.admissible();
-    println!(
-        "discovered {} devices: {:?}",
-        phi.len(),
-        phi.iter().map(|a| &a.name).collect::<Vec<_>>()
-    );
-
-    // Path 0: the gateway, throttled to a 2 Mbit/s ADSL profile.
-    let gateway = PathTarget::Gateway {
-        origin: origin_addr,
-        down: RateLimit::new(2.0e6),
-        up: RateLimit::new(0.512e6),
+    // A 2 / 0.3 Mbit/s ADSL home with two ~1.8 Mbit/s HSPA phones and a
+    // short 60 s video at 200 kbit/s in 10 s segments (keeps the demo
+    // quick). Home 0 owns the 10.0.0.0/24 corner of the virtual network.
+    let spec = HomeSpec {
+        video_bps: 200e3,
+        video_secs: 60.0,
+        segment_secs: 10.0,
+        ..HomeSpec::tier(Tier::Basic).isolated(1.8e6, 1.2e6)
     };
+    let allowance = 20e6;
+    let rig = Rig::bring_up(&spec, &[allowance; 2]).await?;
+    println!("origin listening on {}", rig.net.origin());
+    for (i, device) in rig.devices.iter().enumerate() {
+        println!("device {} proxying on {}", device.name, rig.net.device(i));
+    }
+
+    // Both phones are home and hold quota, so each beacons once and the
+    // client's discovery admits both behind the gateway (path 0).
+    let paths = rig.paths(&spec, spec.hour as f64, &[true, true]).await;
+    let names: Vec<&str> = paths[1..]
+        .iter()
+        .filter_map(|path| match path {
+            PathTarget::Device { addr } => (0..rig.devices.len())
+                .find(|&i| rig.net.device(i) == *addr)
+                .map(|i| rig.devices[i].name.as_str()),
+            PathTarget::SharedGateway { .. } => None,
+        })
+        .collect();
+    println!("discovered {} devices: {names:?}", names.len());
 
     // ADSL alone.
-    let solo = ThreegolClient::new(vec![gateway.clone()]);
+    let solo = rig.client(paths[..1].to_vec());
     let t0 = tokio::time::Instant::now();
     let (_pl, bodies, _report) = solo.fetch_hls("/q1/index.m3u8").await?;
     let solo_secs = t0.elapsed().as_secs_f64();
@@ -73,11 +56,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3GOL: gateway + discovered phones.
-    let mut paths = vec![gateway];
-    for ad in &phi {
-        paths.push(PathTarget::Device { addr: ad.proxy_addr });
-    }
-    let client = ThreegolClient::new(paths);
+    let client = rig.client(paths);
     let t0 = tokio::time::Instant::now();
     let (_pl, bodies, report) = client.fetch_hls("/q1/index.m3u8").await?;
     let gol_secs = t0.elapsed().as_secs_f64();
@@ -90,7 +69,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.wasted_bytes / 1e3
     );
     for (i, b) in report.bytes_per_path.iter().enumerate() {
-        let name = if i == 0 { "gateway".to_string() } else { phi[i - 1].name.clone() };
+        let name = if i == 0 { "gateway" } else { names[i - 1] };
         println!("  path {i} ({name}): {:.2} MB", b / 1e6);
     }
 
@@ -108,7 +87,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An aborted duplicate occasionally commits before the abort lands;
     // the paper charges those to wasted bytes, the origin just sees an
     // extra copy.
-    let ups = origin.uploads();
+    let ups = rig.origin.uploads();
     let unique: std::collections::HashSet<String> =
         ups.iter().flat_map(|u| u.filenames.clone()).collect();
     println!(
@@ -116,5 +95,13 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
         unique.len(),
         ups.len()
     );
+    for device in &rig.devices {
+        println!(
+            "{} has {:.1} of its {:.0} MB allowance left",
+            device.name,
+            device.available_bytes() / 1e6,
+            allowance / 1e6
+        );
+    }
     Ok(())
 }

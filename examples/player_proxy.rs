@@ -4,27 +4,25 @@
 //! points at; the player stays completely unaware of 3GOL. This
 //! example runs the full chain — origin → {ADSL gateway, device proxy}
 //! → HLS-aware proxy → sequential player — on one home's subnet of the
-//! virtual network, and compares startup with and without the 3GOL
-//! paths.
+//! virtual network, brought up by `Rig` like every fleet home, and
+//! compares startup with and without the 3GOL paths.
 //!
 //! ```text
 //! cargo run --release --example player_proxy
 //! ```
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use tokio::time::Instant;
 
-use threegol::hls::VideoQuality;
 use threegol::http::codec::HttpStream;
 use threegol::http::Request;
-use threegol::proxy::{
-    DeviceProxy, HlsProxy, HomeNet, OriginServer, PathTarget, RateLimit, ThreegolClient,
-};
+use threegol::proxy::{HlsProxy, HomeSpec, Rig, Tier};
 use tokio::net::TcpStream;
 
 /// A minimal sequential HLS player: fetch playlist, then segments in
 /// order; report the time to buffer the first `prebuffer` segments.
-async fn play(proxy_addr: std::net::SocketAddr, playlist: &str, prebuffer: usize) -> (f64, usize) {
+async fn play(proxy_addr: SocketAddr, playlist: &str, prebuffer: usize) -> (f64, usize) {
     let t0 = Instant::now();
     let stream = TcpStream::connect(proxy_addr).await.unwrap();
     let mut http = HttpStream::new(stream);
@@ -47,41 +45,28 @@ async fn play(proxy_addr: std::net::SocketAddr, playlist: &str, prebuffer: usize
 
 #[tokio::main]
 async fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let net = HomeNet::new(0);
-
-    // Origin with a 60 s Q2 video in 10 s segments.
-    let ladder = vec![VideoQuality::new("Q1", 311e3)];
-    let origin = Arc::new(OriginServer::new(&ladder, 60.0, 10.0));
-    let (origin_addr, _t) = origin.clone().spawn(&net.origin().to_string()).await?;
-
-    let adsl = PathTarget::Gateway {
-        origin: origin_addr,
-        down: RateLimit::new(2.0e6),
-        up: RateLimit::new(0.512e6),
+    // A 2 / 0.3 Mbit/s ADSL home with two ~1.8 Mbit/s phones, and a
+    // 60 s Q2 (311 kbit/s) video in 10 s segments.
+    let spec = HomeSpec {
+        video_bps: 311e3,
+        video_secs: 60.0,
+        segment_secs: 10.0,
+        ..HomeSpec::tier(Tier::Basic).isolated(1.8e6, 1.2e6)
     };
+    let rig = Rig::bring_up(&spec, &[1e9; 2]).await?;
+    let paths = rig.paths(&spec, spec.hour as f64, &[true, true]).await;
 
-    // Proxy with ADSL only (a second proxy host next to the home's
-    // canonical one at .3).
-    let solo = Arc::new(HlsProxy::new(ThreegolClient::new(vec![adsl.clone()])));
-    let (solo_addr, _t) = solo.clone().spawn("10.0.0.4:8088").await?;
+    // Proxy with ADSL only, on a second port next to the home's
+    // canonical proxy.
+    let solo = Arc::new(HlsProxy::new(rig.client(paths[..1].to_vec())));
+    let solo_addr = SocketAddr::new(rig.net.client_proxy().ip(), 8089);
+    let (solo_addr, _t) = solo.spawn(&solo_addr.to_string()).await?;
     let (startup_solo, n) = play(solo_addr, "/q1/index.m3u8", 2).await;
     println!("player via proxy, ADSL only : {n} segments, 2-segment startup {startup_solo:.2} s");
 
-    // Proxy with ADSL + two phones.
-    let mut paths = vec![adsl];
-    for i in 0..2 {
-        let device = Arc::new(DeviceProxy::new(
-            format!("phone-{i}"),
-            origin_addr,
-            RateLimit::new(1.8e6),
-            RateLimit::new(1.2e6),
-            1e9,
-        ));
-        let (lan_addr, _t) = device.clone().spawn(&net.device(i).to_string()).await?;
-        paths.push(PathTarget::Device { addr: lan_addr });
-    }
-    let gol = Arc::new(HlsProxy::new(ThreegolClient::new(paths)));
-    let (gol_addr, _t) = gol.clone().spawn(&net.client_proxy().to_string()).await?;
+    // Proxy with ADSL + the two discovered phones.
+    let gol = Arc::new(HlsProxy::new(rig.client(paths)));
+    let (gol_addr, _t) = gol.spawn(&rig.net.client_proxy().to_string()).await?;
     let (startup_gol, _) = play(gol_addr, "/q1/index.m3u8", 2).await;
     println!("player via proxy, 3GOL (2ph): {n} segments, 2-segment startup {startup_gol:.2} s");
     println!(

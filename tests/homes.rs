@@ -2,76 +2,53 @@
 //! network. Several households share one runtime; each keeps its own
 //! address namespace, discovery broadcast domain and quota state.
 
-use std::sync::Arc;
+use std::net::SocketAddr;
 use std::time::Duration;
 
-use threegol::proxy::{
-    DeviceProxy, Discovery, Home, HomeNet, HomeSpec, OriginServer, PathTarget, RateLimit,
-    ThreegolClient,
-};
+use threegol::proxy::{Home, HomeSpec, PathTarget, Rig};
 
-/// Bring up one home's origin + discovery + named devices and return
-/// the discovery listener plus the device handles.
-async fn bring_up_home(
-    net: HomeNet,
-    devices: &[(&str, f64)],
-) -> (Discovery, Vec<(Arc<DeviceProxy>, std::net::SocketAddr)>) {
-    let origin = Arc::new(OriginServer::small_for_tests());
-    let (origin_addr, _task) = origin.clone().spawn(&net.origin().to_string()).await.unwrap();
-    let discovery = Discovery::bind(&net.discovery().to_string()).await.unwrap();
-    let disco_addr = discovery.local_addr().unwrap();
-    let mut spawned = Vec::new();
-    for (i, (name, allowance)) in devices.iter().enumerate() {
-        let device = Arc::new(DeviceProxy::new(
-            name.to_string(),
-            origin_addr,
-            RateLimit::unlimited(),
-            RateLimit::unlimited(),
-            *allowance,
-        ));
-        let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await.unwrap();
-        device.clone().spawn_announcer(disco_addr, lan_addr, Duration::from_millis(50));
-        spawned.push((device, lan_addr));
-    }
-    (discovery, spawned)
+/// The phones a path set offers, after the gateway.
+fn phones(paths: &[PathTarget]) -> Vec<SocketAddr> {
+    paths
+        .iter()
+        .filter_map(|path| match path {
+            PathTarget::Device { addr } => Some(*addr),
+            _ => None,
+        })
+        .collect()
 }
 
 #[tokio::test]
 async fn quota_exhaustion_withdraws_only_in_its_own_home() {
-    let net_a = HomeNet::new(1);
-    let net_b = HomeNet::new(2);
-    // Home A: one device whose allowance dies after two 64 kB probes,
-    // one healthy device. Home B: one healthy device.
-    let (disc_a, devs_a) = bring_up_home(net_a, &[("a-small", 100_000.0), ("a-big", 1e9)]).await;
-    let (disc_b, _devs_b) = bring_up_home(net_b, &[("b-phone", 1e9)]).await;
+    // Home A: one phone whose allowance dies in one 2 MB probe, one
+    // healthy phone. Home B: one healthy phone.
+    let spec_a = HomeSpec::paper_default(1);
+    let spec_b = HomeSpec::paper_default(2).devices(1);
+    let rig_a = Rig::bring_up(&spec_a, &[1_000_000.0, 1e9]).await.unwrap();
+    let rig_b = Rig::bring_up(&spec_b, &[1e9]).await.unwrap();
 
-    tokio::time::sleep(Duration::from_millis(300)).await;
-    assert_eq!(disc_a.admissible().len(), 2);
-    assert_eq!(disc_b.admissible().len(), 1);
+    let paths_a = rig_a.paths(&spec_a, 12.0, &[true, true]).await;
+    let paths_b = rig_b.paths(&spec_b, 12.0, &[true]).await;
     // Broadcast domains are disjoint: neither home hears the other's
-    // announcers, and every advertised proxy lives in its own subnet.
-    assert!(disc_b.admissible().iter().all(|ad| ad.name == "b-phone"));
-    assert!(disc_a.admissible().iter().all(|ad| ad.name.starts_with("a-")));
-    for ad in disc_a.admissible() {
-        assert_eq!(ad.proxy_addr.to_string().split('.').nth(2), Some("1"), "{}", ad.proxy_addr);
+    // beacons, and every offered proxy lives in its own subnet.
+    assert_eq!(phones(&paths_a), [rig_a.net.device(0), rig_a.net.device(1)]);
+    assert_eq!(phones(&paths_b), [rig_b.net.device(0)]);
+    for addr in phones(&paths_a) {
+        assert_eq!(addr.to_string().split('.').nth(2), Some("1"), "{addr}");
     }
 
-    // Burn a-small's quota through its proxy.
-    let (small_dev, small_addr) = &devs_a[0];
-    let client = ThreegolClient::new(vec![PathTarget::Device { addr: *small_addr }]);
-    for _ in 0..2 {
-        let (bodies, _) = client.fetch(vec!["/probe.bin".into()], None).await.unwrap();
-        assert_eq!(bodies[0].len(), 64_000);
-    }
-    assert!(!small_dev.should_advertise());
+    // Burn the small phone's quota through its proxy.
+    let client = rig_a.client(vec![paths_a[1].clone()]);
+    let (bodies, _) = client.fetch(vec!["/probe.bin".into()]).await.unwrap();
+    assert_eq!(bodies[0].len(), 2_000_000);
+    assert!(!rig_a.devices[0].should_advertise());
 
-    // Past the TTL the stale ad expires — in home A only; home B's
-    // view never flinches.
+    // Past the TTL the stale ad has expired — in home A only; home B's
+    // path set never flinches.
     tokio::time::sleep(Duration::from_millis(3_200)).await;
-    let phi_a = disc_a.admissible();
-    assert_eq!(phi_a.len(), 1);
-    assert_eq!(phi_a[0].name, "a-big");
-    assert_eq!(disc_b.admissible().len(), 1);
+    let phi_a = phones(&rig_a.paths(&spec_a, 12.0, &[true, true]).await);
+    assert_eq!(phi_a, [rig_a.net.device(1)]);
+    assert_eq!(phones(&rig_b.paths(&spec_b, 12.0, &[true]).await), phones(&paths_b));
 }
 
 #[tokio::test]

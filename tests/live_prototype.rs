@@ -1,167 +1,114 @@
 //! Cross-crate integration: the live tokio prototype — origin, device
 //! proxies, discovery, HLS-aware client — on the vendored runtime's
-//! in-process virtual network. Addresses here use the loopback name
-//! for familiarity, but nothing ever touches the kernel: every
-//! listener and datagram lives in the runtime's own registry under
-//! virtual time, which is what makes the transcript test below able to
-//! demand byte-for-byte identical behavior across runs.
+//! in-process virtual network. Every household here comes up through
+//! `Rig`, the same rig every fleet home runs on, so discovery is the
+//! fleet's on-demand discipline: one beacon per present phone with
+//! quota, each time a session assembles its paths. Nothing ever touches
+//! the kernel: every listener and datagram lives in the runtime's own
+//! registry under virtual time, which is what makes the transcript test
+//! below able to demand byte-for-byte identical behavior across runs.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::net::SocketAddr;
 use std::time::Duration;
 
-use threegol::hls::VideoQuality;
-use threegol::proxy::{
-    DeviceProxy, Discovery, OriginServer, PathTarget, RateLimit, ThreegolClient,
-};
+use threegol::proxy::{HomeSpec, PathTarget, Rig};
 
-async fn small_origin() -> (Arc<OriginServer>, std::net::SocketAddr) {
-    let ladder = vec![VideoQuality::new("Q1", 64e3)];
-    let origin = Arc::new(OriginServer::new(&ladder, 10.0, 2.0));
-    let (addr, _task) = origin.clone().spawn("127.0.0.1:0").await.unwrap();
-    (origin, addr)
+/// The paper-default home's video: five 2 s segments at 400 kbit/s.
+const SEGMENT_BYTES: usize = 100_000;
+/// The origin's probe file.
+const PROBE_BYTES: usize = 2_000_000;
+
+/// The phones a path set offers, in path order; panics unless path 0
+/// is the gateway and every later path is a phone.
+fn phones(paths: &[PathTarget]) -> Vec<SocketAddr> {
+    assert!(matches!(paths[0], PathTarget::SharedGateway { .. }), "{paths:?}");
+    paths[1..]
+        .iter()
+        .map(|path| match path {
+            PathTarget::Device { addr } => *addr,
+            other => panic!("path after the gateway is not a phone: {other:?}"),
+        })
+        .collect()
 }
 
 #[tokio::test]
 async fn discovery_builds_admissible_set_from_live_devices() {
-    let (_origin, origin_addr) = small_origin().await;
-    let discovery = Discovery::bind("127.0.0.1:0").await.unwrap();
-    let disco_addr = discovery.local_addr().unwrap();
-    for i in 0..2 {
-        let device = Arc::new(DeviceProxy::new(
-            format!("phone-{i}"),
-            origin_addr,
-            RateLimit::unlimited(),
-            RateLimit::unlimited(),
-            1e9,
-        ));
-        let (lan_addr, _task) = device.clone().spawn("127.0.0.1:0").await.unwrap();
-        device.spawn_announcer(disco_addr, lan_addr, Duration::from_millis(50));
-    }
-    tokio::time::sleep(Duration::from_millis(300)).await;
-    let phi = discovery.admissible();
-    assert_eq!(phi.len(), 2);
-    assert!(phi.iter().all(|a| a.available_bytes > 0.0));
+    // Four phones: two armed and present, one without quota, one away.
+    let spec = HomeSpec::paper_default(1).devices(4);
+    let rig = Rig::bring_up(&spec, &[1e9, 0.0, 1e9, 1e9]).await.unwrap();
+    let paths = rig.paths(&spec, 12.0, &[true, true, true, false]).await;
+    let phi = phones(&paths);
+    assert_eq!(phi, [rig.net.device(0), rig.net.device(2)]);
+    assert!([0, 2].iter().all(|&i| rig.devices[i].available_bytes() > 0.0));
 }
 
 #[tokio::test]
 async fn exhausted_device_drops_out_of_phi() {
-    let (_origin, origin_addr) = small_origin().await;
-    let discovery = Discovery::bind("127.0.0.1:0").await.unwrap();
-    let disco_addr = discovery.local_addr().unwrap();
     // Allowance below one 2 MB probe: a single transfer exhausts it.
-    let device = Arc::new(DeviceProxy::new(
-        "phone-0",
-        origin_addr,
-        RateLimit::unlimited(),
-        RateLimit::unlimited(),
-        1_000_000.0,
-    ));
-    let (lan_addr, _task) = device.clone().spawn("127.0.0.1:0").await.unwrap();
-    device.clone().spawn_announcer(disco_addr, lan_addr, Duration::from_millis(50));
-    tokio::time::sleep(Duration::from_millis(200)).await;
-    assert_eq!(discovery.admissible().len(), 1);
+    let spec = HomeSpec::paper_default(2).devices(1);
+    let rig = Rig::bring_up(&spec, &[1_000_000.0]).await.unwrap();
+    let paths = rig.paths(&spec, 12.0, &[true]).await;
+    assert_eq!(phones(&paths), [rig.net.device(0)]);
 
     // Burn the quota through the proxy.
-    let client = ThreegolClient::new(vec![PathTarget::Device { addr: lan_addr }]);
-    let (bodies, _) = client.fetch(vec!["/probe.bin".into()], None).await.unwrap();
-    assert_eq!(bodies[0].len(), 2_000_000);
-    assert!(!device.should_advertise());
+    let client = rig.client(paths[1..].to_vec());
+    let (bodies, _) = client.fetch(vec!["/probe.bin".into()]).await.unwrap();
+    assert_eq!(bodies[0].len(), PROBE_BYTES);
+    assert!(!rig.devices[0].should_advertise());
 
-    // After the TTL the stale advertisement expires and Φ empties.
+    // After the TTL the stale advertisement has expired and the next
+    // path set is the gateway alone.
     tokio::time::sleep(Duration::from_millis(3_200)).await;
-    assert!(discovery.admissible().is_empty());
+    assert!(phones(&rig.paths(&spec, 12.0, &[true]).await).is_empty());
 }
 
 #[tokio::test]
 async fn hls_fetch_through_discovered_devices() {
-    let (origin, origin_addr) = small_origin().await;
-    let device = Arc::new(DeviceProxy::new(
-        "phone-0",
-        origin_addr,
-        RateLimit::new(4e6),
-        RateLimit::new(4e6),
-        1e9,
-    ));
-    let (lan_addr, _task) = device.clone().spawn("127.0.0.1:0").await.unwrap();
-    let client = ThreegolClient::new(vec![
-        PathTarget::Gateway {
-            origin: origin_addr,
-            down: RateLimit::new(4e6),
-            up: RateLimit::new(1e6),
-        },
-        PathTarget::Device { addr: lan_addr },
-    ]);
+    let spec = HomeSpec::paper_default(3).devices(1);
+    let rig = Rig::bring_up(&spec, &[1e9]).await.unwrap();
+    let client = rig.client(rig.paths(&spec, 12.0, &[true]).await);
+    assert_eq!(client.paths.len(), 2);
     let (playlist, bodies, report) = client.fetch_hls("/q1/index.m3u8").await.unwrap();
     assert_eq!(playlist.entries.len(), 5);
     assert_eq!(bodies.len(), 5);
-    assert!(bodies.iter().all(|b| b.len() == 16_000));
-    assert!((report.bytes_per_path.iter().sum::<f64>()) >= 5.0 * 16_000.0);
-    assert!(origin.requests_served() >= 6); // playlist + 5 segments
+    for (i, body) in bodies.iter().enumerate() {
+        assert_eq!(body.len(), SEGMENT_BYTES, "segment {i}");
+        assert!(body.iter().all(|&byte| byte == i as u8), "segment {i} is not intact");
+    }
+    assert!((report.bytes_per_path.iter().sum::<f64>()) >= 5.0 * SEGMENT_BYTES as f64);
+    assert!(rig.origin.requests_served() >= 6); // playlist + 5 segments
 }
 
 #[tokio::test]
 async fn uploads_survive_a_slow_device() {
-    // One healthy path and one pathologically slow device: greedy
+    // One healthy ADSL line and one pathologically slow phone: greedy
     // duplication must still deliver all photos.
-    let (origin, origin_addr) = small_origin().await;
-    let device = Arc::new(DeviceProxy::new(
-        "phone-slow",
-        origin_addr,
-        RateLimit { rate_bps: 40_000.0, burst_bytes: 4096.0 },
-        RateLimit { rate_bps: 40_000.0, burst_bytes: 4096.0 },
-        1e9,
-    ));
-    let (lan_addr, _task) = device.clone().spawn("127.0.0.1:0").await.unwrap();
-    let client = ThreegolClient::new(vec![
-        PathTarget::Gateway {
-            origin: origin_addr,
-            down: RateLimit::new(8e6),
-            up: RateLimit::new(8e6),
-        },
-        PathTarget::Device { addr: lan_addr },
-    ]);
+    let spec = HomeSpec::paper_default(4).devices(1).isolated(40_000.0, 40_000.0);
+    let rig = Rig::bring_up(&spec, &[1e9]).await.unwrap();
+    let client = rig.client(rig.paths(&spec, 12.0, &[true]).await);
+    assert_eq!(client.paths.len(), 2);
     let photos: Vec<(String, bytes::Bytes)> =
         (0..5).map(|i| (format!("p{i}.jpg"), bytes::Bytes::from(vec![i as u8; 50_000]))).collect();
     let report = client.upload_photos(photos).await.unwrap();
     assert!(report.item_secs.iter().all(|t| t.is_finite()));
-    assert_eq!(origin.uploads().len(), 5);
+    assert_eq!(rig.origin.uploads().len(), 5);
 }
 
 /// Run the full prototype scenario once in a fresh runtime and record
-/// everything observable — discovery order, body sizes and checksums,
-/// every report field at full `f64` precision, origin-side state —
-/// into one transcript string.
+/// everything observable — the discovered paths, body sizes and
+/// checksums, every report field at full `f64` precision, phone quota
+/// and origin-side state — into one transcript string.
 fn scenario_transcript() -> String {
     tokio::runtime::block_on(async {
         let mut log = String::new();
-        let (origin, origin_addr) = small_origin().await;
-        let discovery = Discovery::bind("127.0.0.1:0").await.unwrap();
-        let disco_addr = discovery.local_addr().unwrap();
-        for i in 0..2 {
-            let device = Arc::new(DeviceProxy::new(
-                format!("phone-{i}"),
-                origin_addr,
-                RateLimit::new(2e6),
-                RateLimit::new(1e6),
-                1e9,
-            ));
-            let (lan_addr, _task) = device.clone().spawn("127.0.0.1:0").await.unwrap();
-            device.spawn_announcer(disco_addr, lan_addr, Duration::from_millis(50));
+        let spec = HomeSpec::paper_default(5);
+        let rig = Rig::bring_up(&spec, &[1e9, 1e9]).await.unwrap();
+        let paths = rig.paths(&spec, 12.0, &[true, true]).await;
+        for addr in phones(&paths) {
+            writeln!(log, "discovered phone at {addr}").unwrap();
         }
-        tokio::time::sleep(Duration::from_millis(200)).await;
-
-        let mut paths = vec![PathTarget::Gateway {
-            origin: origin_addr,
-            down: RateLimit::new(4e6),
-            up: RateLimit::new(0.5e6),
-        }];
-        for ad in discovery.admissible() {
-            writeln!(log, "discovered {} at {} ({})", ad.name, ad.proxy_addr, ad.available_bytes)
-                .unwrap();
-            paths.push(PathTarget::Device { addr: ad.proxy_addr });
-        }
-        let client = ThreegolClient::new(paths);
+        let client = rig.client(paths);
 
         let t0 = tokio::time::Instant::now();
         let (playlist, bodies, report) = client.fetch_hls("/q1/index.m3u8").await.unwrap();
@@ -178,10 +125,13 @@ fn scenario_transcript() -> String {
         let t0 = tokio::time::Instant::now();
         let report = client.upload_photos(photos).await.unwrap();
         writeln!(log, "upload in {:?}: {report:?}", t0.elapsed()).unwrap();
-        for up in origin.uploads() {
+        for device in &rig.devices {
+            writeln!(log, "{} has {} bytes left", device.name, device.available_bytes()).unwrap();
+        }
+        for up in rig.origin.uploads() {
             writeln!(log, "origin got {:?} ({} bytes)", up.filenames, up.total_bytes).unwrap();
         }
-        writeln!(log, "origin served {} requests", origin.requests_served()).unwrap();
+        writeln!(log, "origin served {} requests", rig.origin.requests_served()).unwrap();
         log
     })
 }
@@ -190,6 +140,6 @@ fn scenario_transcript() -> String {
 fn scenario_transcript_is_byte_for_byte_deterministic() {
     let first = scenario_transcript();
     let second = scenario_transcript();
-    assert!(!first.is_empty());
+    assert!(first.contains("discovered phone at 10.0.5.11:3128"), "{first}");
     assert_eq!(first, second, "virtual-net runs diverged");
 }
