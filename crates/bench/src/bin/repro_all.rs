@@ -24,7 +24,7 @@ use threegol_bench::fleet::{
     home_spec, run_cell_fleet, scenario_spec, CellFleetConfig, CellFleetRun, Fleet, FleetDigest,
     DEFAULT_CHUNK,
 };
-use threegol_bench::{registry, resolve_workers, DynExperiment, Pool, Report, Scale};
+use threegol_bench::{registry, resolve_workers, Check, DynExperiment, Pool, Report, Scale};
 use threegol_caps::{evaluate_estimator, AllowanceEstimator};
 use threegol_traces::{device_free_history, ScenarioConfig, DEFAULT_SCENARIO_SEED};
 
@@ -54,8 +54,21 @@ peak RSS 20.5 MiB
 /// reproduction command. Returns the Markdown and whether the live
 /// checks passed.
 fn fleet_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
-    let min_ok = digest.upload_gain.min > 1.0;
-    let p50_ok = digest.upload_gain.p50() > 1.2;
+    let (min, p50) = (digest.upload_gain.min, digest.upload_gain.p50());
+    let checks = [
+        Check::new(
+            "worst-home upload gain",
+            "§6: onloading never hurts (> 1×)",
+            format!("{min:.2}×"),
+            min > 1.0,
+        ),
+        Check::new(
+            "median upload gain",
+            "§6: phones roughly double the uplink",
+            format!("{p50:.2}×"),
+            p50 > 1.2,
+        ),
+    ];
     let mut out = String::new();
     out.push_str("## fleet — §6 aggregates from the live prototype, at fleet scale\n\n");
     out.push_str(
@@ -74,17 +87,7 @@ fn fleet_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
         digest.render(),
         digest.digest(),
     ));
-    out.push_str("\n| check | paper | measured | |\n|---|---|---|---|\n");
-    out.push_str(&format!(
-        "| worst-home upload gain | §6: onloading never hurts (> 1×) | {:.2}× | {} |\n",
-        digest.upload_gain.min,
-        if min_ok { "✅" } else { "⚠️" }
-    ));
-    out.push_str(&format!(
-        "| median upload gain | §6: phones roughly double the uplink | {:.2}× | {} |\n",
-        digest.upload_gain.p50(),
-        if p50_ok { "✅" } else { "⚠️" }
-    ));
+    out.push_str(&Check::markdown_table(&checks));
     out.push_str(
         "\n### Recorded million-home run\n\n\
          The same binary scales four orders of magnitude past the paper's \
@@ -106,7 +109,7 @@ fn fleet_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
          index order (tested at 200, 5 000 and 10 000 homes; the merge \
          algebra makes the invariant size-independent).\n\n",
     );
-    (out, min_ok && p50_ok)
+    (out, checks.iter().all(|c| c.ok))
 }
 
 /// Render the Fig 11 section: the cell-coupled fleet's aggregate
@@ -122,13 +125,34 @@ fn cells_section(run: &CellFleetRun) -> (String, bool) {
     // suburban/well-provisioned, compared at the mobile evening peak.
     let congested_share = run.profiles[2].down_bps[19];
     let well_share = run.profiles[3].down_bps[19];
-    let converged_ok = run.converged;
     // A handful of homes cannot sample 24 hours; the diurnal-shape
     // check needs a fleet big enough that the hour assignment's wired
     // curve shows (the full-scale report is 200 homes).
     let shape_applicable = run.digest.homes >= 100;
-    let shape_ok = !shape_applicable || evening > 2.0 * night;
-    let shed_ok = congested_share < well_share;
+    let checks = [
+        Check::new(
+            "fixed point",
+            "§6: onloading self-limits (stable operating point)",
+            format!("{} passes, converged: {}", run.passes, run.converged),
+            run.converged,
+        ),
+        Check::new(
+            "diurnal shape",
+            "Fig 11: onload follows the wired evening peak",
+            if shape_applicable {
+                format!("evening/night load {:.1}×", evening / night.max(1.0))
+            } else {
+                "n/a at this scale (< 100 homes)".to_string()
+            },
+            !shape_applicable || evening > 2.0 * night,
+        ),
+        Check::new(
+            "provisioning",
+            "§6: congested cells yield smaller shares at peak",
+            format!("{:.2} vs {:.2} Mbit/s @19h", congested_share / 1e6, well_share / 1e6),
+            congested_share < well_share,
+        ),
+    ];
     let mut out = String::new();
     out.push_str(
         "## fig11-fleet — aggregate 3G cell load under city-wide onloading, \
@@ -147,33 +171,9 @@ fn cells_section(run: &CellFleetRun) -> (String, bool) {
          digest, byte for byte, for any worker count or chunk size).\n\n",
     );
     out.push_str(&format!("```text\n{}```\n", run.render()));
-    out.push_str("\n| check | paper | measured | |\n|---|---|---|---|\n");
-    out.push_str(&format!(
-        "| fixed point | §6: onloading self-limits (stable operating point) | \
-         {} passes, converged: {} | {} |\n",
-        run.passes,
-        run.converged,
-        if converged_ok { "✅" } else { "⚠️" }
-    ));
-    out.push_str(&format!(
-        "| diurnal shape | Fig 11: onload follows the wired evening peak | \
-         {} | {} |\n",
-        if shape_applicable {
-            format!("evening/night load {:.1}×", evening / night.max(1.0))
-        } else {
-            "n/a at this scale (< 100 homes)".to_string()
-        },
-        if shape_ok { "✅" } else { "⚠️" }
-    ));
-    out.push_str(&format!(
-        "| provisioning | §6: congested cells yield smaller shares at peak | \
-         {:.2} vs {:.2} Mbit/s @19h | {} |\n",
-        congested_share / 1e6,
-        well_share / 1e6,
-        if shed_ok { "✅" } else { "⚠️" }
-    ));
+    out.push_str(&Check::markdown_table(&checks));
     out.push('\n');
-    (out, converged_ok && shape_ok && shed_ok)
+    (out, checks.iter().all(|c| c.ok))
 }
 
 /// Render the §6-live section: the traced multi-day fleet with the
@@ -202,15 +202,37 @@ fn scenario_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
     }
     let offline = evaluate_estimator(&est, &histories);
     let granted = s.granted_bytes();
-    let grants_ok = (granted - expected_granted).abs() <= expected_granted.max(1.0) * 1e-6;
     // A handful of homes cannot pin down population fractions; the
     // band checks need the full-scale street (200 homes).
     let bands_applicable = homes >= 50;
     let captured = s.captured_fraction();
-    let captured_ok = !bands_applicable || (0.30..0.85).contains(&captured);
     let overrun = s.overrun_rate();
-    let overrun_ok = overrun < 0.5 && (overrun > 0.0 || !bands_applicable);
-    let backtest_ok = offline.mean_overrun_days < 1.0;
+    let checks = [
+        Check::new(
+            "live grants == offline estimator",
+            "§6: allowance computed from billing history",
+            format!("{:.1} vs {:.1} MB granted", granted / 1e6, expected_granted / 1e6),
+            (granted - expected_granted).abs() <= expected_granted.max(1.0) * 1e-6,
+        ),
+        Check::new(
+            "live captured fraction",
+            "§6: a conservative guard leaves headroom (~65% usable)",
+            format!("{:.0}% of granted allowance consumed", captured * 100.0),
+            !bands_applicable || (0.30..0.85).contains(&captured),
+        ),
+        Check::new(
+            "live daily overruns",
+            "§6: overruns happen but stay the minority",
+            format!("{:.1}% of device-days", overrun * 100.0),
+            overrun < 0.5 && (overrun > 0.0 || !bands_applicable),
+        ),
+        Check::new(
+            "offline backtest",
+            "§6: expected overrun under 1 day per month",
+            format!("{:.2} days/month", offline.mean_overrun_days),
+            offline.mean_overrun_days < 1.0,
+        ),
+    ];
     let mut out = String::new();
     out.push_str("## scenario — §6 live: a simulated week with the allowance loop closed\n\n");
     out.push_str(&format!(
@@ -238,34 +260,9 @@ fn scenario_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
         offline.mean_overrun_days,
         offline.overrun_month_fraction * 100.0,
     ));
-    out.push_str("\n| check | paper | measured | |\n|---|---|---|---|\n");
-    out.push_str(&format!(
-        "| live grants == offline estimator | §6: allowance computed from billing history | \
-         {:.1} vs {:.1} MB granted | {} |\n",
-        granted / 1e6,
-        expected_granted / 1e6,
-        if grants_ok { "✅" } else { "⚠️" }
-    ));
-    out.push_str(&format!(
-        "| live captured fraction | §6: a conservative guard leaves headroom (~65% usable) | \
-         {:.0}% of granted allowance consumed | {} |\n",
-        captured * 100.0,
-        if captured_ok { "✅" } else { "⚠️" }
-    ));
-    out.push_str(&format!(
-        "| live daily overruns | §6: overruns happen but stay the minority | \
-         {:.1}% of device-days | {} |\n",
-        overrun * 100.0,
-        if overrun_ok { "✅" } else { "⚠️" }
-    ));
-    out.push_str(&format!(
-        "| offline backtest | §6: expected overrun under 1 day per month | \
-         {:.2} days/month | {} |\n",
-        offline.mean_overrun_days,
-        if backtest_ok { "✅" } else { "⚠️" }
-    ));
+    out.push_str(&Check::markdown_table(&checks));
     out.push('\n');
-    (out, grants_ok && captured_ok && overrun_ok && backtest_ok)
+    (out, checks.iter().all(|c| c.ok))
 }
 
 const USAGE: &str = "usage: repro_all [scale] [workers] [ID…]";

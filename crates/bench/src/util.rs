@@ -25,6 +25,25 @@ impl Check {
     ) -> Check {
         Check { name: name.into(), paper: paper.into(), measured: measured.into(), ok }
     }
+
+    /// Render `checks` as EXPERIMENTS.md's paper-vs-measured table,
+    /// preceded by a blank line (nothing when there are no checks).
+    pub fn markdown_table(checks: &[Check]) -> String {
+        let mut out = String::new();
+        if !checks.is_empty() {
+            out.push_str("\n| check | paper | measured | |\n|---|---|---|---|\n");
+            for c in checks {
+                out.push_str(&format!(
+                    "| {} | {} | {} | {} |\n",
+                    c.name,
+                    c.paper,
+                    c.measured,
+                    if c.ok { "✅" } else { "⚠️" }
+                ));
+            }
+        }
+        out
+    }
 }
 
 /// One experiment's regenerated output.
@@ -72,18 +91,7 @@ impl Report {
     /// Render as a Markdown section for EXPERIMENTS.md.
     pub fn render_markdown(&self) -> String {
         let mut out = format!("## {} — {}\n\n```text\n{}```\n", self.id, self.title, self.body);
-        if !self.checks.is_empty() {
-            out.push_str("\n| check | paper | measured | |\n|---|---|---|---|\n");
-            for c in &self.checks {
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} |\n",
-                    c.name,
-                    c.paper,
-                    c.measured,
-                    if c.ok { "✅" } else { "⚠️" }
-                ));
-            }
-        }
+        out.push_str(&Check::markdown_table(&self.checks));
         out.push('\n');
         out
     }

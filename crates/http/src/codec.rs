@@ -5,17 +5,23 @@
 //! sequential request/response exchanges (the prototype's proxies keep
 //! connections alive per transfer).
 //!
+//! `Content-Length` is the only body framing read or written: a head
+//! that declares `Transfer-Encoding`, or a `Connection: close` head
+//! without a length, is refused with [`HttpError::Malformed`], so a
+//! body never runs to EOF and its length is always declared up front.
+//!
 //! Heads and bodies are split: `read_request_head`/`read_response_head`
 //! return the parsed head plus a [`Body`] handle. The handle either
-//! already holds the bytes ([`Body::Full`]) or describes how the body
-//! is framed on the wire ([`Body::Stream`]); the caller then chooses to
-//! materialize it ([`HttpStream::read_body`]) or to pipe it straight
-//! into a downstream writer ([`HttpStream::pipe_body`]) without ever
-//! buffering the whole payload — the relay path the device proxy uses.
-//! Any bytes read past the head (the parse remnant) stay in the stream
-//! buffer and are consumed first by either driver.
+//! already holds the bytes ([`Body::Full`], empty for a bodyless
+//! message) or gives the body's declared length ([`Body::Stream`]);
+//! the caller then chooses to materialize it ([`HttpStream::read_body`])
+//! or to pipe it straight into a downstream writer
+//! ([`HttpStream::pipe_body`]) without ever buffering the whole
+//! payload — the relay path the device proxy uses. Any bytes read past
+//! the head (the parse remnant) stay in the stream buffer and are
+//! consumed first by either driver.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::io::IoSlice;
 
 use bytes::{Bytes, BytesMut};
@@ -166,10 +172,6 @@ pub enum BodyFraming {
     None,
     /// `Content-Length`-delimited: exactly this many bytes follow.
     Length(usize),
-    /// `Transfer-Encoding: chunked`.
-    Chunked,
-    /// Close-delimited: the body runs until EOF (responses only).
-    Eof,
 }
 
 /// A handle to a message body returned alongside a parsed head.
@@ -188,26 +190,23 @@ pub enum Body {
     Stream(BodyFraming),
 }
 
-/// Derive the body framing from a parsed header block. Mirrors the
-/// decisions the buffered reader has always made, including the error
-/// cases (oversized or unparseable `Content-Length`).
-fn body_framing(headers: &Headers, read_to_eof_allowed: bool) -> Result<BodyFraming, HttpError> {
-    if headers.is_chunked() {
-        return Ok(BodyFraming::Chunked);
-    }
-    if let Some(len) = headers.content_length() {
-        if len > MAX_BODY_BYTES {
-            return Err(HttpError::BodyTooLarge);
-        }
-        return Ok(BodyFraming::Length(len));
+/// The one framing rule: a valid `Content-Length` frames that many
+/// bytes (bounded by `MAX_BODY_BYTES`), and no `Content-Length` means
+/// no body. A `Transfer-Encoding` head is refused, and so is a
+/// `Connection: close` head without a length (a response's body would
+/// run to EOF): no peer of the prototype frames a body either way.
+fn body_framing(headers: &Headers) -> Result<BodyFraming, HttpError> {
+    if headers.get("transfer-encoding").is_some() {
+        return Err(HttpError::Malformed("Transfer-Encoding is not supported".into()));
     }
     if headers.get("content-length").is_some() {
-        return Err(HttpError::BodyTooLarge); // present but unparseable
+        return match headers.content_length() {
+            Some(len) if len <= MAX_BODY_BYTES => Ok(BodyFraming::Length(len)),
+            _ => Err(HttpError::BodyTooLarge), // oversized or unparseable
+        };
     }
-    if read_to_eof_allowed
-        && headers.get("connection").is_some_and(|c| c.eq_ignore_ascii_case("close"))
-    {
-        return Ok(BodyFraming::Eof);
+    if headers.get("connection").is_some_and(|c| c.eq_ignore_ascii_case("close")) {
+        return Err(HttpError::Malformed("close-delimited body".into()));
     }
     Ok(BodyFraming::None)
 }
@@ -250,66 +249,64 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
     /// consumed via [`read_body`](Self::read_body) or
     /// [`pipe_body`](Self::pipe_body) before the next read.
     pub async fn read_request_head(&mut self) -> Result<Option<(RequestHead, Body)>, HttpError> {
-        let Some(head_end) = self.fill_until_headers().await? else {
-            return Ok(None);
-        };
-        let head = {
-            let text = std::str::from_utf8(&self.buf[..head_end - 4])
-                .map_err(|_| HttpError::Malformed("non-UTF-8 header block".into()))?;
-            let mut lines = text.split("\r\n");
-            let start = lines.next().ok_or_else(|| HttpError::Malformed("empty head".into()))?;
+        self.read_head(|start, headers| {
             let mut parts = start.split_whitespace();
-            let method = parts
-                .next()
-                .ok_or_else(|| HttpError::Malformed("missing method".into()))?
-                .to_string();
-            let target = parts
-                .next()
-                .ok_or_else(|| HttpError::Malformed("missing target".into()))?
-                .to_string();
-            let version = parts
-                .next()
-                .ok_or_else(|| HttpError::Malformed("missing version".into()))?
-                .to_string();
-            let headers = parse_headers(lines)?;
-            RequestHead { method, target, version, headers }
-        };
-        self.buf.advance(head_end);
-        let body = match body_framing(&head.headers, false)? {
-            BodyFraming::None => Body::Full(Bytes::new()),
-            framing => Body::Stream(framing),
-        };
-        Ok(Some((head, body)))
+            let mut field = |name: &str| {
+                parts
+                    .next()
+                    .map(str::to_string)
+                    .ok_or_else(|| HttpError::Malformed(format!("missing {name}")))
+            };
+            Ok(RequestHead {
+                method: field("method")?,
+                target: field("target")?,
+                version: field("version")?,
+                headers,
+            })
+        })
+        .await
     }
 
     /// Read one response head, plus the [`Body`] handle to consume.
     pub async fn read_response_head(&mut self) -> Result<(ResponseHead, Body), HttpError> {
-        let head_end = self.fill_until_headers().await?.ok_or(HttpError::UnexpectedEof)?;
-        let head = {
-            let text = std::str::from_utf8(&self.buf[..head_end - 4])
-                .map_err(|_| HttpError::Malformed("non-UTF-8 header block".into()))?;
-            let mut lines = text.split("\r\n");
-            let start = lines.next().ok_or_else(|| HttpError::Malformed("empty head".into()))?;
+        self.read_head(|start, headers| {
             let mut parts = start.splitn(3, ' ');
-            let version = parts
-                .next()
-                .ok_or_else(|| HttpError::Malformed("missing version".into()))?
-                .to_string();
-            let status: u16 = parts
+            let version = parts.next().unwrap_or("").to_string();
+            let status = parts
                 .next()
                 .ok_or_else(|| HttpError::Malformed("missing status".into()))?
                 .parse()
                 .map_err(|_| HttpError::Malformed("bad status code".into()))?;
             let reason = parts.next().unwrap_or("").to_string();
-            let headers = parse_headers(lines)?;
-            ResponseHead { status, reason, version, headers }
+            Ok(ResponseHead { status, reason, version, headers })
+        })
+        .await?
+        .ok_or(HttpError::UnexpectedEof)
+    }
+
+    /// Read one head: fill the buffer through the blank line, parse
+    /// the header lines, decide the body's framing, hand the start
+    /// line and headers to `parse`, and consume the head. `Ok(None)` on
+    /// clean end-of-stream before any byte of a new message.
+    async fn read_head<H>(
+        &mut self,
+        parse: impl FnOnce(&str, Headers) -> Result<H, HttpError>,
+    ) -> Result<Option<(H, Body)>, HttpError> {
+        let Some(head_end) = self.fill_until_headers().await? else {
+            return Ok(None);
         };
-        self.buf.advance(head_end);
-        let body = match body_framing(&head.headers, true)? {
+        let text = std::str::from_utf8(&self.buf[..head_end - 4])
+            .map_err(|_| HttpError::Malformed("non-UTF-8 header block".into()))?;
+        let mut lines = text.split("\r\n");
+        let start = lines.next().unwrap_or("");
+        let headers = parse_headers(lines)?;
+        let body = match body_framing(&headers)? {
             BodyFraming::None => Body::Full(Bytes::new()),
             framing => Body::Stream(framing),
         };
-        Ok((head, body))
+        let head = parse(start, headers)?;
+        self.buf.advance(head_end);
+        Ok(Some((head, body)))
     }
 
     /// Read one request. `Ok(None)` on clean end-of-stream before any
@@ -329,10 +326,9 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         Ok(head.into_response(body))
     }
 
-    /// Materialize a [`Body`] into contiguous bytes. For
-    /// `Content-Length` bodies the storage is handed over without
-    /// copying the payload (only a pipelined remnant, if any, is
-    /// copied back into the read buffer).
+    /// Materialize a [`Body`] into contiguous bytes. The storage is
+    /// handed over without copying the payload (only a pipelined
+    /// remnant, if any, is copied back into the read buffer).
     pub async fn read_body(&mut self, body: Body) -> Result<Bytes, HttpError> {
         match body {
             Body::Full(bytes) => Ok(bytes),
@@ -344,86 +340,27 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
                 self.fill_to(len).await?;
                 Ok(self.buf.freeze_to(len))
             }
-            Body::Stream(BodyFraming::Chunked) => self.read_chunked_body().await,
-            Body::Stream(BodyFraming::Eof) => {
-                loop {
-                    if self.buf.len() > MAX_BODY_BYTES {
-                        return Err(HttpError::BodyTooLarge);
-                    }
-                    let n = self.io.read_buf(&mut self.buf).await?;
-                    if n == 0 {
-                        break;
-                    }
-                }
-                let len = self.buf.len();
-                Ok(self.buf.freeze_to(len))
-            }
         }
     }
 
-    /// Drive a [`Body`] into `sink` without materializing it: decoded
-    /// body bytes are written as they arrive, starting with the parse
-    /// remnant. Returns the number of decoded bytes forwarded. The
-    /// sink is not flushed.
+    /// Drive a [`Body`] into `sink` without materializing it: body
+    /// bytes are written as they arrive, starting with the parse
+    /// remnant, through a window bounded by one read (never the whole
+    /// body). Returns the number of bytes forwarded. The sink is not
+    /// flushed.
     pub async fn pipe_body<W: AsyncWrite + Unpin>(
         &mut self,
         body: Body,
         sink: &mut W,
     ) -> Result<u64, HttpError> {
-        match body {
+        let len = match body {
             Body::Full(bytes) => {
                 sink.write_all(&bytes).await?;
-                Ok(bytes.len() as u64)
+                return Ok(bytes.len() as u64);
             }
-            Body::Stream(BodyFraming::None) => Ok(0),
-            Body::Stream(BodyFraming::Length(len)) => {
-                self.pipe_exact(len, sink).await?;
-                Ok(len as u64)
-            }
-            Body::Stream(BodyFraming::Chunked) => {
-                let mut total: u64 = 0;
-                loop {
-                    let size = self.read_chunk_size_line().await?;
-                    if total.saturating_add(size as u64) > MAX_BODY_BYTES as u64 {
-                        return Err(HttpError::BodyTooLarge);
-                    }
-                    if size == 0 {
-                        self.consume_trailers().await?;
-                        return Ok(total);
-                    }
-                    self.pipe_exact(size, sink).await?;
-                    self.consume_chunk_crlf().await?;
-                    total += size as u64;
-                }
-            }
-            Body::Stream(BodyFraming::Eof) => {
-                let mut total: u64 = 0;
-                loop {
-                    if self.buf.is_empty() {
-                        let n = self.io.read_buf(&mut self.buf).await?;
-                        if n == 0 {
-                            return Ok(total);
-                        }
-                    }
-                    let k = self.buf.len();
-                    sink.write_all(&self.buf[..k]).await?;
-                    self.buf.advance(k);
-                    total += k as u64;
-                    if total > MAX_BODY_BYTES as u64 {
-                        return Err(HttpError::BodyTooLarge);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Forward exactly `len` raw bytes from buffer + transport into
-    /// `sink`, bounded by the read window (never the full body).
-    async fn pipe_exact<W: AsyncWrite + Unpin>(
-        &mut self,
-        len: usize,
-        sink: &mut W,
-    ) -> Result<(), HttpError> {
+            Body::Stream(BodyFraming::None) => 0,
+            Body::Stream(BodyFraming::Length(len)) => len,
+        };
         let mut remaining = len;
         while remaining > 0 {
             if self.buf.is_empty() {
@@ -437,29 +374,20 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
             self.buf.advance(k);
             remaining -= k;
         }
-        Ok(())
+        Ok(len as u64)
     }
 
     /// Serialize and send a request (Content-Length is set from the
     /// body). Head and body leave in one gather-write.
     pub async fn write_request(&mut self, req: &Request) -> Result<(), HttpError> {
-        self.head_buf.clear();
-        let _ = write!(self.head_buf, "{} {} {}\r\n", req.method, req.target, req.version);
-        append_headers(&mut self.head_buf, &req.headers, req.body.len());
-        write_all_vectored(&mut self.io, &self.head_buf, &req.body).await?;
-        self.io.flush().await?;
-        Ok(())
+        self.write_message([&req.method, &req.target, &req.version], &req.headers, &req.body).await
     }
 
     /// Serialize and send a response. Head and body leave in one
     /// gather-write.
     pub async fn write_response(&mut self, resp: &Response) -> Result<(), HttpError> {
-        self.head_buf.clear();
-        let _ = write!(self.head_buf, "{} {} {}\r\n", resp.version, resp.status, resp.reason);
-        append_headers(&mut self.head_buf, &resp.headers, resp.body.len());
-        write_all_vectored(&mut self.io, &self.head_buf, &resp.body).await?;
-        self.io.flush().await?;
-        Ok(())
+        self.write_message([&resp.version, &resp.status, &resp.reason], &resp.headers, &resp.body)
+            .await
     }
 
     /// Serialize and send a request head whose body will follow with
@@ -469,9 +397,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         head: &RequestHead,
         framing: BodyFraming,
     ) -> Result<(), HttpError> {
-        self.head_buf.clear();
-        let _ = write!(self.head_buf, "{} {} {}\r\n", head.method, head.target, head.version);
-        append_framed_headers(&mut self.head_buf, &head.headers, framing);
+        self.encode_head([&head.method, &head.target, &head.version], &head.headers, framing);
         self.io.write_all(&self.head_buf).await?;
         Ok(())
     }
@@ -483,27 +409,80 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         head: &ResponseHead,
         framing: BodyFraming,
     ) -> Result<(), HttpError> {
-        self.head_buf.clear();
-        let _ = write!(self.head_buf, "{} {} {}\r\n", head.version, head.status, head.reason);
-        append_framed_headers(&mut self.head_buf, &head.headers, framing);
+        self.encode_head([&head.version, &head.status, &head.reason], &head.headers, framing);
         self.io.write_all(&self.head_buf).await?;
         Ok(())
     }
 
+    /// Send a materialized message: its head framed by the body's
+    /// length (none for an empty body), then the body, in one
+    /// gather-write, then flush.
+    async fn write_message(
+        &mut self,
+        start: [&(dyn Display + Sync); 3],
+        headers: &Headers,
+        body: &[u8],
+    ) -> Result<(), HttpError> {
+        let framing =
+            if body.is_empty() { BodyFraming::None } else { BodyFraming::Length(body.len()) };
+        self.encode_head(start, headers, framing);
+        write_all_vectored(&mut self.io, &self.head_buf, body).await?;
+        self.io.flush().await?;
+        Ok(())
+    }
+
+    /// Serialize a head into the reused head buffer: the start line's
+    /// three fields, then the header lines. `Length(n)` rewrites a
+    /// `Content-Length` header in place or appends one; `None` rewrites
+    /// one to 0 and appends none.
+    fn encode_head(
+        &mut self,
+        start: [&(dyn Display + Sync); 3],
+        headers: &Headers,
+        framing: BodyFraming,
+    ) {
+        let head = &mut self.head_buf;
+        head.clear();
+        let [a, b, c] = start;
+        let _ = write!(head, "{a} {b} {c}\r\n");
+        let len = match framing {
+            BodyFraming::None => 0,
+            BodyFraming::Length(len) => len,
+        };
+        let mut wrote_len = false;
+        for (name, value) in headers.iter() {
+            if name.eq_ignore_ascii_case("content-length") {
+                wrote_len = true;
+                let _ = write!(head, "Content-Length: {len}\r\n");
+            } else {
+                let _ = write!(head, "{name}: {value}\r\n");
+            }
+        }
+        if !wrote_len && framing != BodyFraming::None {
+            let _ = write!(head, "Content-Length: {len}\r\n");
+        }
+        head.extend_from_slice(b"\r\n");
+    }
+
     /// Fill the buffer until a complete header block is present.
     /// Returns the offset just past `\r\n\r\n`, or `None` on clean EOF
-    /// with an empty buffer. Each pass scans only the new bytes plus a
-    /// 3-byte overlap, so a large head is examined once, not O(n²).
+    /// with an empty buffer. A head longer than [`MAX_HEADER_BYTES`] is
+    /// refused wherever the transport splits it. Each pass scans only
+    /// the new bytes plus a 3-byte overlap, so a large head is examined
+    /// once, not O(n²).
     async fn fill_until_headers(&mut self) -> Result<Option<usize>, HttpError> {
         let mut scanned = 0;
         loop {
             if let Some(pos) = find_from(&self.buf, scanned, b"\r\n\r\n") {
+                if pos + 4 > MAX_HEADER_BYTES {
+                    return Err(HttpError::HeadersTooLarge);
+                }
                 return Ok(Some(pos + 4));
             }
-            scanned = self.buf.len();
-            if self.buf.len() > MAX_HEADER_BYTES {
+            if self.buf.len() >= MAX_HEADER_BYTES {
                 return Err(HttpError::HeadersTooLarge);
             }
+            scanned = self.buf.len();
             let n = self.io.read_buf(&mut self.buf).await?;
             if n == 0 {
                 if self.buf.is_empty() {
@@ -524,85 +503,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         }
         Ok(())
     }
-
-    /// Fill the buffer until it starts with a CRLF-terminated line and
-    /// return the line's length (without the CRLF). Chunk-size and
-    /// trailer lines are bounded like heads: a line longer than
-    /// [`MAX_HEADER_BYTES`] is refused instead of buffered.
-    async fn fill_line(&mut self) -> Result<usize, HttpError> {
-        let mut scanned = 0;
-        loop {
-            if let Some(pos) = find_from(&self.buf, scanned, b"\r\n") {
-                if pos > MAX_HEADER_BYTES {
-                    return Err(HttpError::HeadersTooLarge);
-                }
-                return Ok(pos);
-            }
-            scanned = self.buf.len();
-            if self.buf.len() > MAX_HEADER_BYTES {
-                return Err(HttpError::HeadersTooLarge);
-            }
-            let n = self.io.read_buf(&mut self.buf).await?;
-            if n == 0 {
-                return Err(HttpError::UnexpectedEof);
-            }
-        }
-    }
-
-    /// Read and consume one chunk size line, returning the size.
-    async fn read_chunk_size_line(&mut self) -> Result<usize, HttpError> {
-        let line_end = self.fill_line().await?;
-        let size = {
-            let size_text = std::str::from_utf8(&self.buf[..line_end])
-                .map_err(|_| HttpError::Malformed("bad chunk size".into()))?;
-            let size_text = size_text.split(';').next().unwrap_or("").trim();
-            usize::from_str_radix(size_text, 16)
-                .map_err(|_| HttpError::Malformed(format!("bad chunk size {size_text:?}")))?
-        };
-        self.buf.advance(line_end + 2);
-        Ok(size)
-    }
-
-    /// Consume the CRLF that terminates a chunk payload.
-    async fn consume_chunk_crlf(&mut self) -> Result<(), HttpError> {
-        self.fill_to(2).await?;
-        if &self.buf[..2] != b"\r\n" {
-            return Err(HttpError::Malformed("missing chunk CRLF".into()));
-        }
-        self.buf.advance(2);
-        Ok(())
-    }
-
-    /// Consume (and ignore) trailers after the final zero chunk, up to
-    /// and including the blank line.
-    async fn consume_trailers(&mut self) -> Result<(), HttpError> {
-        loop {
-            let pos = self.fill_line().await?;
-            self.buf.advance(pos + 2);
-            if pos == 0 {
-                return Ok(());
-            }
-        }
-    }
-
-    async fn read_chunked_body(&mut self) -> Result<Bytes, HttpError> {
-        let mut body = BytesMut::new();
-        loop {
-            let size = self.read_chunk_size_line().await?;
-            if body.len().saturating_add(size) > MAX_BODY_BYTES {
-                return Err(HttpError::BodyTooLarge);
-            }
-            if size == 0 {
-                self.consume_trailers().await?;
-                return Ok(body.freeze());
-            }
-            self.fill_to(size + 2).await?;
-            body.reserve(size);
-            body.extend_from_slice(&self.buf[..size]);
-            self.buf.advance(size);
-            self.consume_chunk_crlf().await?;
-        }
-    }
 }
 
 fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers, HttpError> {
@@ -617,55 +517,6 @@ fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers, Ht
         headers.add(name.trim(), value.trim());
     }
     Ok(headers)
-}
-
-fn append_headers(head: &mut BytesMut, headers: &Headers, body_len: usize) {
-    let mut wrote_len = false;
-    for (name, value) in headers.iter() {
-        if name.eq_ignore_ascii_case("content-length") {
-            wrote_len = true;
-            let _ = write!(head, "Content-Length: {body_len}\r\n");
-        } else {
-            let _ = write!(head, "{name}: {value}\r\n");
-        }
-    }
-    if !wrote_len && body_len > 0 {
-        let _ = write!(head, "Content-Length: {body_len}\r\n");
-    }
-    head.extend_from_slice(b"\r\n");
-}
-
-/// Serialize headers for a head whose body follows with `framing`.
-/// `Length` rewrites/installs `Content-Length` (and drops any stale
-/// `Transfer-Encoding`, since the body is re-framed); `Chunked`/`Eof`
-/// pass the headers through verbatim.
-fn append_framed_headers(head: &mut BytesMut, headers: &Headers, framing: BodyFraming) {
-    match framing {
-        BodyFraming::None => append_headers(head, headers, 0),
-        BodyFraming::Length(len) => {
-            let mut wrote_len = false;
-            for (name, value) in headers.iter() {
-                if name.eq_ignore_ascii_case("content-length") {
-                    wrote_len = true;
-                    let _ = write!(head, "Content-Length: {len}\r\n");
-                } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                    continue;
-                } else {
-                    let _ = write!(head, "{name}: {value}\r\n");
-                }
-            }
-            if !wrote_len {
-                let _ = write!(head, "Content-Length: {len}\r\n");
-            }
-            head.extend_from_slice(b"\r\n");
-        }
-        BodyFraming::Chunked | BodyFraming::Eof => {
-            for (name, value) in headers.iter() {
-                let _ = write!(head, "{name}: {value}\r\n");
-            }
-            head.extend_from_slice(b"\r\n");
-        }
-    }
 }
 
 /// Write the whole of `head` then `body`, using gather-writes so both
@@ -794,85 +645,28 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn chunked_response_decoded() {
-        let (mut client, server) = tokio::io::duplex(1024);
-        client
-            .write_all(
-                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n",
-            )
-            .await
-            .unwrap();
-        drop(client);
-        let mut s = HttpStream::new(server);
-        let resp = s.read_response().await.unwrap();
-        assert_eq!(&resp.body[..], b"Wikipedia");
-    }
-
-    #[tokio::test]
-    async fn chunked_with_extension_and_trailer() {
-        let (mut client, server) = tokio::io::duplex(1024);
-        client
-            .write_all(
-                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3;ext=1\r\nabc\r\n0\r\nX-T: v\r\n\r\n",
-            )
-            .await
-            .unwrap();
-        drop(client);
-        let mut s = HttpStream::new(server);
-        let resp = s.read_response().await.unwrap();
-        assert_eq!(&resp.body[..], b"abc");
-    }
-
-    /// Decode `chunks` as a chunked response body twice: materialized
-    /// by `read_body`, then streamed by `pipe_body`.
-    async fn decode_chunked_both_ways(chunks: &[u8]) -> Vec<Result<Vec<u8>, HttpError>> {
-        let mut msg = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
-        msg.extend_from_slice(chunks);
-        let mut results = Vec::new();
-        for pipe in [false, true] {
-            let (mut client, server) = tokio::io::duplex(256 * 1024);
-            client.write_all(&msg).await.unwrap();
+    async fn transfer_encoding_heads_are_refused() {
+        let heads: [&[u8]; 3] = [
+            b"POST /upload HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            b"POST /upload HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: identity\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nWiki\r\n0\r\n\r\n",
+        ];
+        for wire in heads {
+            let (mut client, server) = tokio::io::duplex(1024);
+            client.write_all(wire).await.unwrap();
             drop(client);
             let mut s = HttpStream::new(server);
-            let (_, body) = s.read_response_head().await.unwrap();
-            results.push(if pipe {
-                let mut sink = Vec::new();
-                s.pipe_body(body, &mut sink).await.map(|_| sink)
+            let got = if wire.starts_with(b"HTTP/") {
+                s.read_response().await.map(|r| r.body)
             } else {
-                s.read_body(body).await.map(|b| b.to_vec())
-            });
-        }
-        results
-    }
-
-    #[tokio::test]
-    async fn huge_chunk_size_is_body_too_large() {
-        // The second size line would overflow `received + size`.
-        for got in decode_chunked_both_ways(b"1\r\na\r\nffffffffffffffff\r\nxyz").await {
-            assert!(matches!(got, Err(HttpError::BodyTooLarge)), "{got:?}");
+                s.read_request().await.map(|r| r.unwrap().body)
+            };
+            assert!(matches!(got, Err(HttpError::Malformed(_))), "{got:?}");
         }
     }
 
     #[tokio::test]
-    async fn overlong_chunk_lines_are_refused() {
-        let mut size_line = vec![b'0'; 70 * 1024];
-        size_line.extend_from_slice(b"1\r\na\r\n0\r\n\r\n");
-        let mut trailer = b"1\r\na\r\n0\r\nX-T: ".to_vec();
-        trailer.extend(std::iter::repeat_n(b'v', 70 * 1024));
-        trailer.extend_from_slice(b"\r\n\r\n");
-        for chunks in [size_line, trailer] {
-            for got in decode_chunked_both_ways(&chunks).await {
-                assert!(matches!(got, Err(HttpError::HeadersTooLarge)), "{got:?}");
-            }
-        }
-        // Leading zeros within the limit still parse.
-        for got in decode_chunked_both_ways(b"0001\r\na\r\n0\r\n\r\n").await {
-            assert_eq!(got.unwrap(), b"a");
-        }
-    }
-
-    #[tokio::test]
-    async fn close_delimited_body() {
+    async fn close_delimited_responses_are_refused() {
         let (mut client, server) = tokio::io::duplex(1024);
         client
             .write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nstream-until-eof")
@@ -880,8 +674,78 @@ mod tests {
             .unwrap();
         drop(client);
         let mut s = HttpStream::new(server);
-        let resp = s.read_response().await.unwrap();
-        assert_eq!(&resp.body[..], b"stream-until-eof");
+        assert!(matches!(s.read_response().await, Err(HttpError::Malformed(_))));
+
+        // With a declared length the same header is fine.
+        let (mut client, server) = tokio::io::duplex(1024);
+        client
+            .write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok")
+            .await
+            .unwrap();
+        drop(client);
+        let mut s = HttpStream::new(server);
+        assert_eq!(&s.read_response().await.unwrap().body[..], b"ok");
+    }
+
+    #[tokio::test]
+    async fn writers_emit_exact_bytes() {
+        let headers = |pairs: &[(&str, &str)]| {
+            let mut h = Headers::new();
+            for (name, value) in pairs {
+                h.add(*name, *value);
+            }
+            h
+        };
+        // Heads whose own Content-Length is rewritten in place.
+        let mut stale = Response::ok("text/plain", Bytes::from_static(b"abcd"));
+        stale.headers = headers(&[("Content-Length", "99"), ("Content-Type", "text/plain")]);
+        let mut empty = Response::status(204, "No Content");
+        empty.headers = headers(&[("content-length", "7")]);
+        let request_head = |method: &str, target: &str, pairs| RequestHead {
+            method: method.into(),
+            target: target.into(),
+            version: "HTTP/1.1".into(),
+            headers: headers(pairs),
+        };
+        let get = request_head("GET", "/probe.bin", &[("Host", "origin")]);
+        let post = request_head("POST", "/upload", &[("Content-Length", "6"), ("X-A", "1")]);
+        let ok = ResponseHead {
+            status: 200,
+            reason: "OK".into(),
+            version: "HTTP/1.1".into(),
+            headers: headers(&[("Content-Type", "video/mp2t")]),
+        };
+
+        let (io, mut wire) = tokio::io::duplex(64 * 1024);
+        let mut w = HttpStream::new(io);
+        w.write_request(&Request::get("/q1/seg00001.ts")).await.unwrap();
+        let photo = Request::post("/upload", "text/plain", Bytes::from_static(b"pixels"));
+        w.write_request(&photo).await.unwrap();
+        w.write_response(&Response::not_found()).await.unwrap();
+        w.write_response(&Response::ok("video/mp2t", Bytes::from_static(b"abc"))).await.unwrap();
+        w.write_response(&stale).await.unwrap();
+        w.write_response(&empty).await.unwrap();
+        w.write_request_head(&get, BodyFraming::None).await.unwrap();
+        w.write_request_head(&post, BodyFraming::Length(6)).await.unwrap();
+        w.write_response_head(&ok, BodyFraming::Length(5)).await.unwrap();
+        drop(w);
+        let mut got = Vec::new();
+        wire.read_to_end(&mut got).await.unwrap();
+        assert_eq!(
+            String::from_utf8(got).unwrap(),
+            concat!(
+                "GET /q1/seg00001.ts HTTP/1.1\r\n\r\n",
+                "POST /upload HTTP/1.1\r\nContent-Type: text/plain\r\nContent-Length: 6\r\n\r\n",
+                "pixels",
+                "HTTP/1.1 404 Not Found\r\n\r\n",
+                "HTTP/1.1 200 OK\r\nContent-Type: video/mp2t\r\nContent-Length: 3\r\n\r\nabc",
+                "HTTP/1.1 200 OK\r\nContent-Length: 4\r\nContent-Type: text/plain\r\n\r\nabcd",
+                "HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n",
+                "GET /probe.bin HTTP/1.1\r\nHost: origin\r\n\r\n",
+                "POST /upload HTTP/1.1\r\nContent-Length: 6\r\nX-A: 1\r\n\r\n",
+                "HTTP/1.1 200 OK\r\nContent-Type: video/mp2t\r\nContent-Length: 5\r\n\r\n",
+            )
+        );
     }
 
     #[tokio::test]
@@ -926,52 +790,6 @@ mod tests {
         let piped = s.pipe_body(body, &mut sink).await.unwrap();
         assert_eq!(piped, 50_000);
         assert_eq!(sink, payload);
-    }
-
-    #[tokio::test]
-    async fn streamed_chunked_body_decodes_and_counts() {
-        let (mut client, server) = tokio::io::duplex(1024);
-        client
-            .write_all(
-                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nWiki\r\n5\r\npedia\r\n0\r\nX-T: v\r\n\r\n",
-            )
-            .await
-            .unwrap();
-        drop(client);
-        let mut s = HttpStream::new(server);
-        let (_, body) = s.read_response_head().await.unwrap();
-        let mut sink = Vec::new();
-        let piped = s.pipe_body(body, &mut sink).await.unwrap();
-        assert_eq!(piped, 9);
-        assert_eq!(sink, b"Wikipedia");
-    }
-
-    #[tokio::test]
-    async fn relay_heads_reframe_chunked_to_length() {
-        // A chunked upstream body materialized by a relay goes back out
-        // Content-Length framed, with the stale TE header dropped.
-        let head = ResponseHead {
-            status: 200,
-            reason: "OK".into(),
-            version: "HTTP/1.1".into(),
-            headers: {
-                let mut h = Headers::new();
-                h.set("Transfer-Encoding", "chunked");
-                h.set("Content-Type", "video/mp2t");
-                h
-            },
-        };
-        let (client, server) = tokio::io::duplex(4096);
-        let mut c = HttpStream::new(client);
-        c.write_response_head(&head, BodyFraming::Length(3)).await.unwrap();
-        c.get_mut().write_all(b"abc").await.unwrap();
-        c.flush().await.unwrap();
-        drop(c);
-        let mut s = HttpStream::new(server);
-        let resp = s.read_response().await.unwrap();
-        assert_eq!(resp.headers.get("transfer-encoding"), None);
-        assert_eq!(resp.headers.content_length(), Some(3));
-        assert_eq!(&resp.body[..], b"abc");
     }
 
     #[tokio::test]

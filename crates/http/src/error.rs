@@ -11,8 +11,7 @@ pub enum HttpError {
     UnexpectedEof,
     /// The start line or a header could not be parsed.
     Malformed(String),
-    /// A head, a chunk-size line or a trailer line exceeded
-    /// [`crate::MAX_HEADER_BYTES`].
+    /// A head exceeded [`crate::MAX_HEADER_BYTES`].
     HeadersTooLarge,
     /// Body exceeded 256 MiB or declared an invalid length.
     BodyTooLarge,

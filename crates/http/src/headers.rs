@@ -38,11 +38,6 @@ impl Headers {
         self.get("content-length").and_then(|v| v.trim().parse().ok())
     }
 
-    /// Whether `Transfer-Encoding: chunked` applies.
-    pub fn is_chunked(&self) -> bool {
-        self.get("transfer-encoding").is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    }
-
     /// Iterate over `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
@@ -92,8 +87,6 @@ mod tests {
         assert_eq!(h.content_length(), Some(42));
         h.set("Content-Length", "nope");
         assert_eq!(h.content_length(), None);
-        h.set("Transfer-Encoding", "Chunked");
-        assert!(h.is_chunked());
     }
 
     #[test]

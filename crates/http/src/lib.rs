@@ -11,12 +11,14 @@
 //! implemented carefully:
 //!
 //! * request/response parsing with incremental buffered reads,
-//!   case-insensitive headers, `Content-Length` and chunked bodies;
+//!   case-insensitive headers and `Content-Length` bodies (the only
+//!   framing the prototype's peers use; `Transfer-Encoding` and
+//!   close-delimited bodies are refused);
 //! * serialization of requests and responses;
 //! * `multipart/form-data` encoding/decoding for photo uploads.
 //!
-//! Hard limits guard against malformed peers: 64 KiB of headers (and
-//! per chunk-size or trailer line), 256 MiB bodies.
+//! Hard limits guard against malformed peers: 64 KiB heads, 256 MiB
+//! bodies.
 
 #![warn(missing_docs)]
 

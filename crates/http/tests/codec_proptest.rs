@@ -1,14 +1,15 @@
-//! Property tests for the HTTP codec: arbitrary header sets and body
-//! framings, delivered through adversarial read boundaries, must
-//! decode to byte-identical bodies through both the buffered path
-//! (`read_response`) and the streaming path (`read_response_head` +
-//! `read_body` / `pipe_body`).
+//! Property tests for the HTTP codec: arbitrary header sets and
+//! `Content-Length` bodies, delivered through adversarial read
+//! boundaries, must decode to byte-identical bodies through both the
+//! buffered path (`read_response`) and the streaming path
+//! (`read_response_head` + `read_body` / `pipe_body`), and a head that
+//! declares any other framing must be refused however it arrives.
 //!
-//! The read boundaries are the point: the incremental head scan, the
-//! chunk-size-line parser, and the body pipe all keep cursors across
-//! partial reads, so the encoder's output is chopped into scripted
-//! fragments — down to single bytes — that deliberately split the
-//! `\r\n\r\n` terminator, chunk size lines, and trailer blocks.
+//! The read boundaries are the point: the incremental head scan and
+//! the body pipe both keep cursors across partial reads, so the
+//! encoder's output is chopped into scripted fragments — down to
+//! single bytes — that deliberately split the `\r\n\r\n` terminator
+//! and the header lines.
 
 use std::pin::Pin;
 use std::task::{Context, Poll};
@@ -17,19 +18,8 @@ use proptest::prelude::*;
 
 use bytes::Bytes;
 use threegol_http::codec::{Body, BodyFraming, HttpStream};
+use threegol_http::{HttpError, MAX_HEADER_BYTES};
 use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
-
-/// How the generated body is framed on the wire.
-#[derive(Debug, Clone)]
-enum Framing {
-    /// `Content-Length: n`.
-    Length,
-    /// `Transfer-Encoding: chunked`, with scripted chunk sizes, an
-    /// optional extension on each size line, and optional trailers.
-    Chunked { chunk_sizes: Vec<usize>, extensions: bool, trailers: bool },
-    /// `Connection: close`, body runs to EOF.
-    Eof,
-}
 
 /// Serves scripted bytes with scripted read-boundary sizes, then EOF.
 /// The write half discards (the decoder under test never writes).
@@ -81,45 +71,15 @@ impl AsyncWrite for ChoppedIo {
     }
 }
 
-/// Encode a 200 response carrying `body` under the given framing.
-fn encode(headers: &[(String, String)], body: &[u8], framing: &Framing) -> Vec<u8> {
+/// Encode a 200 response carrying `body` with a `Content-Length`.
+fn encode(headers: &[(String, String)], body: &[u8]) -> Vec<u8> {
     let mut wire = Vec::new();
     wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
     for (name, value) in headers {
         wire.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
     }
-    match framing {
-        Framing::Length => {
-            wire.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
-            wire.extend_from_slice(body);
-        }
-        Framing::Chunked { chunk_sizes, extensions, trailers } => {
-            wire.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
-            let mut rest = body;
-            let mut k = 0usize;
-            while !rest.is_empty() {
-                let take = chunk_sizes[k % chunk_sizes.len()].clamp(1, rest.len());
-                k += 1;
-                if *extensions {
-                    wire.extend_from_slice(format!("{take:x};ext=val{k}\r\n").as_bytes());
-                } else {
-                    wire.extend_from_slice(format!("{take:x}\r\n").as_bytes());
-                }
-                wire.extend_from_slice(&rest[..take]);
-                wire.extend_from_slice(b"\r\n");
-                rest = &rest[take..];
-            }
-            wire.extend_from_slice(b"0\r\n");
-            if *trailers {
-                wire.extend_from_slice(b"X-Checksum: deadbeef\r\nX-Seen-Chunks: many\r\n");
-            }
-            wire.extend_from_slice(b"\r\n");
-        }
-        Framing::Eof => {
-            wire.extend_from_slice(b"Connection: close\r\n\r\n");
-            wire.extend_from_slice(body);
-        }
-    }
+    wire.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
+    wire.extend_from_slice(body);
     wire
 }
 
@@ -130,6 +90,10 @@ const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ
 /// parser's whitespace trimming cannot change the value.
 const VALUE_CHARS: &[u8] =
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_./=!(),*+";
+
+/// `Transfer-Encoding` spellings and values a peer might send.
+const TE_NAMES: [&str; 3] = ["Transfer-Encoding", "transfer-encoding", "TRANSFER-ENCODING"];
+const TE_VALUES: [&str; 4] = ["chunked", "Chunked", "gzip, chunked", "identity"];
 
 fn pick(charset: &[u8], indices: &[usize]) -> String {
     indices.iter().map(|&i| charset[i % charset.len()] as char).collect()
@@ -152,16 +116,6 @@ fn header_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
     })
 }
 
-fn framing_strategy() -> impl Strategy<Value = Framing> {
-    (0u8..4, proptest::collection::vec(1usize..200, 1..5), any::<bool>(), any::<bool>()).prop_map(
-        |(kind, chunk_sizes, extensions, trailers)| match kind {
-            0 => Framing::Length,
-            1 | 2 => Framing::Chunked { chunk_sizes, extensions, trailers },
-            _ => Framing::Eof,
-        },
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -172,10 +126,9 @@ proptest! {
     fn all_paths_recover_the_exact_body(
         headers in header_strategy(),
         body in proptest::collection::vec(any::<u8>(), 0..1500),
-        framing in framing_strategy(),
         cuts in proptest::collection::vec(1usize..striped_max(), 1..8),
     ) {
-        let wire = encode(&headers, &body, &framing);
+        let wire = encode(&headers, &body);
 
         // Buffered path.
         let got = tokio::runtime::block_on(async {
@@ -193,17 +146,7 @@ proptest! {
             let mut http = HttpStream::new(ChoppedIo::new(wire.clone(), cuts.clone()));
             let (head, b) = http.read_response_head().await?;
             assert_eq!(head.status, 200);
-            match (&framing, &b) {
-                (Framing::Length, Body::Stream(BodyFraming::Length(n))) => {
-                    assert_eq!(*n, body.len());
-                }
-                (Framing::Length, Body::Full(full)) => assert_eq!(full.len(), body.len()),
-                (Framing::Chunked { .. }, b) => {
-                    assert!(matches!(b, Body::Stream(BodyFraming::Chunked)));
-                }
-                (Framing::Eof, b) => assert!(matches!(b, Body::Stream(BodyFraming::Eof))),
-                (f, b) => panic!("unexpected body {b:?} for framing {f:?}"),
-            }
+            assert!(matches!(b, Body::Stream(BodyFraming::Length(n)) if n == body.len()), "{b:?}");
             http.read_body(b).await
         }).unwrap();
         prop_assert_eq!(&bytes[..], &body[..]);
@@ -214,14 +157,45 @@ proptest! {
             let (_, b) = http.read_response_head().await?;
             let mut sink: Vec<u8> = Vec::new();
             let n = http.pipe_body(b, &mut sink).await?;
-            Ok::<_, threegol_http::HttpError>((sink, n))
+            Ok::<_, HttpError>((sink, n))
         }).unwrap();
         prop_assert_eq!(&piped[..], &body[..]);
         prop_assert_eq!(count, body.len() as u64);
     }
 
+    /// A `Transfer-Encoding` header is refused wherever it sits in a
+    /// request or response head, with or without a `Content-Length`
+    /// beside it, however the transport fragments the head.
+    #[test]
+    fn transfer_encoding_is_refused_anywhere(
+        headers in header_strategy(),
+        at in 0usize..8,
+        te in (0usize..TE_NAMES.len(), 0usize..TE_VALUES.len()),
+        request in any::<bool>(),
+        with_length in any::<bool>(),
+        cuts in proptest::collection::vec(1usize..striped_max(), 1..8),
+    ) {
+        let mut lines: Vec<String> = headers.iter().map(|(n, v)| format!("{n}: {v}")).collect();
+        if with_length {
+            lines.push("Content-Length: 5".into());
+        }
+        lines.insert(at % (lines.len() + 1), format!("{}: {}", TE_NAMES[te.0], TE_VALUES[te.1]));
+        let start = if request { "POST /upload HTTP/1.1" } else { "HTTP/1.1 200 OK" };
+        let wire = format!("{start}\r\n{}\r\n\r\n5\r\nhello\r\n0\r\n\r\n", lines.join("\r\n"));
+
+        let got = tokio::runtime::block_on(async {
+            let mut http = HttpStream::new(ChoppedIo::new(wire.into_bytes(), cuts));
+            if request {
+                http.read_request_head().await.map(|h| h.map(|(_, body)| body))
+            } else {
+                http.read_response_head().await.map(|(_, body)| Some(body))
+            }
+        });
+        prop_assert!(matches!(got, Err(HttpError::Malformed(_))), "{got:?}");
+    }
+
     /// A `Content-Length` request survives the same fragmentation on
-    /// the server side (requests never use EOF framing).
+    /// the server side.
     #[test]
     fn fragmented_request_round_trips(
         body in proptest::collection::vec(any::<u8>(), 0..800),
@@ -244,8 +218,47 @@ proptest! {
 }
 
 /// Upper bound for scripted read sizes: a mix of 1-byte reads and
-/// fragments comparable to a head or chunk line, so cuts land inside
-/// `\r\n\r\n`, chunk size lines, and trailer blocks.
+/// fragments comparable to a header line, so cuts land inside
+/// `\r\n\r\n` and the header lines.
 fn striped_max() -> usize {
     48
+}
+
+/// A GET head exactly `len` bytes long, its blank line included.
+fn get_head(len: usize) -> Vec<u8> {
+    let mut head = b"GET /q1/index.m3u8 HTTP/1.1\r\nX-Pad: ".to_vec();
+    head.resize(len - 4, b'p');
+    head.extend_from_slice(b"\r\n\r\n");
+    head
+}
+
+/// The head limit is a property of the head, not of how the transport
+/// splits it: the same bytes in large reads, in 1 KiB reads and in
+/// reads that straddle the limit are accepted up to
+/// [`MAX_HEADER_BYTES`] and refused past it.
+#[test]
+fn head_limit_holds_wherever_the_reads_split() {
+    for cuts in [vec![60 * 1024, 64 * 1024], vec![1024], vec![1000]] {
+        for (len, fits) in [
+            (MAX_HEADER_BYTES - 100, true),
+            (MAX_HEADER_BYTES, true),
+            (MAX_HEADER_BYTES + 1, false),
+            (70 * 1024, false),
+        ] {
+            let got = tokio::runtime::block_on(async {
+                let mut http = HttpStream::new(ChoppedIo::new(get_head(len), cuts.clone()));
+                http.read_request().await
+            });
+            match got {
+                Ok(Some(req)) => {
+                    assert!(fits, "{len}-byte head accepted under cuts {cuts:?}");
+                    assert_eq!(req.target, "/q1/index.m3u8");
+                }
+                Err(HttpError::HeadersTooLarge) => {
+                    assert!(!fits, "{len}-byte head refused under cuts {cuts:?}");
+                }
+                other => panic!("{len}-byte head under cuts {cuts:?}: {other:?}"),
+            }
+        }
+    }
 }

@@ -101,6 +101,38 @@ enum Job {
     Upload { filename: String, data: Bytes },
 }
 
+/// GET the media playlist `target` over `http` and parse it.
+pub(crate) async fn get_media_playlist<T: AsyncRead + AsyncWrite + Unpin>(
+    http: &mut HttpStream<T>,
+    target: &str,
+) -> Result<MediaPlaylist, HttpError> {
+    http.write_request(&Request::get(target)).await?;
+    let resp = http.read_response().await?;
+    if resp.status != 200 {
+        return Err(HttpError::Malformed(format!("playlist fetch failed: {}", resp.status)));
+    }
+    let text = std::str::from_utf8(&resp.body)
+        .map_err(|_| HttpError::Malformed("non-UTF-8 playlist".into()))?;
+    MediaPlaylist::parse(text).map_err(|e| HttpError::Malformed(format!("bad playlist: {e}")))
+}
+
+/// The request targets of `playlist`'s segments in playout order: an
+/// absolute `/` URI stays as it is, anything else is resolved against
+/// the directory of `playlist_target`.
+pub(crate) fn segment_targets<'a>(
+    playlist_target: &'a str,
+    playlist: &'a MediaPlaylist,
+) -> impl Iterator<Item = Arc<str>> + 'a {
+    let base = playlist_target.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
+    playlist.entries.iter().map(move |(_, uri)| {
+        if uri.starts_with('/') {
+            Arc::from(uri.as_str())
+        } else {
+            Arc::from(format!("{base}/{uri}"))
+        }
+    })
+}
+
 /// Per-transfer timeout: a wedged path must not hang the transaction.
 const TRANSFER_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -163,27 +195,8 @@ impl ThreegolClient {
         // Playlist interception happens before multipath kicks in.
         let io = self.paths[0].connect(self.wifi.as_ref()).await.map_err(HttpError::Io)?;
         let mut http = HttpStream::new(io);
-        http.write_request(&Request::get(playlist_target)).await?;
-        let resp = http.read_response().await?;
-        if resp.status != 200 {
-            return Err(HttpError::Malformed(format!("playlist fetch failed: {}", resp.status)));
-        }
-        let text = std::str::from_utf8(&resp.body)
-            .map_err(|_| HttpError::Malformed("non-UTF-8 playlist".into()))?;
-        let playlist = MediaPlaylist::parse(text)
-            .map_err(|e| HttpError::Malformed(format!("bad playlist: {e}")))?;
-        let base = playlist_target.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
-        let targets: Vec<Arc<str>> = playlist
-            .entries
-            .iter()
-            .map(|(_, uri)| {
-                if uri.starts_with('/') {
-                    Arc::from(uri.as_str())
-                } else {
-                    Arc::from(format!("{base}/{uri}"))
-                }
-            })
-            .collect();
+        let playlist = get_media_playlist(&mut http, playlist_target).await?;
+        let targets = segment_targets(playlist_target, &playlist).collect();
         let (bodies, report) = self.fetch(targets).await?;
         Ok((playlist, bodies, report))
     }

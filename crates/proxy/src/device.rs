@@ -16,7 +16,6 @@ use tokio::net::{TcpListener, TcpStream};
 
 use threegol_caps::QuotaTracker;
 use threegol_http::codec::{Body, BodyFraming, HttpStream};
-use tokio::io::AsyncWriteExt;
 
 use crate::throttle::{RateLimit, ThrottledStream};
 
@@ -103,11 +102,12 @@ impl DeviceProxy {
     /// forwarded upstream and the response relayed back; transferred
     /// body bytes are charged to the quota.
     ///
-    /// Bodies with known length stream through bounded-window piping —
+    /// Both directions take one path: write the head with the body's
+    /// declared framing, then pipe the body through a bounded window —
     /// a segment or photo is never materialized on the device, matching
-    /// the phone proxy's memory budget. Chunked/close-delimited bodies
-    /// (which the prototype's peers never send) fall back to buffering
-    /// and are re-framed with a Content-Length.
+    /// the phone proxy's memory budget. A head the codec refuses (an
+    /// undeclared body length included) ends the connection before
+    /// anything of that message is forwarded.
     pub(crate) async fn serve_lan_connection(
         &self,
         lan: TcpStream,
@@ -118,44 +118,20 @@ impl DeviceProxy {
         let (g3_down, g3_up) = *self.rates.lock();
         let mut upstream = HttpStream::new(ThrottledStream::new(upstream_tcp, g3_down, g3_up));
         let mut lan = HttpStream::new(lan);
+        // A `Full` body from a head reader is the empty body of a
+        // bodyless message.
+        let framing = |body: &Body| match body {
+            Body::Stream(framing) => *framing,
+            Body::Full(_) => BodyFraming::None,
+        };
         while let Some((head, body)) = lan.read_request_head().await? {
-            let up_bytes = match body {
-                Body::Stream(BodyFraming::Length(len)) => {
-                    upstream.write_request_head(&head, BodyFraming::Length(len)).await?;
-                    lan.pipe_body(body, upstream.get_mut()).await?
-                }
-                body => {
-                    let bytes = lan.read_body(body).await?;
-                    let framing = if bytes.is_empty() {
-                        BodyFraming::None
-                    } else {
-                        BodyFraming::Length(bytes.len())
-                    };
-                    upstream.write_request_head(&head, framing).await?;
-                    upstream.get_mut().write_all(&bytes).await?;
-                    bytes.len() as u64
-                }
-            };
+            upstream.write_request_head(&head, framing(&body)).await?;
+            let up_bytes = lan.pipe_body(body, upstream.get_mut()).await?;
             upstream.flush().await?;
 
             let (resp_head, resp_body) = upstream.read_response_head().await?;
-            let down_bytes = match resp_body {
-                Body::Stream(BodyFraming::Length(len)) => {
-                    lan.write_response_head(&resp_head, BodyFraming::Length(len)).await?;
-                    upstream.pipe_body(resp_body, lan.get_mut()).await?
-                }
-                resp_body => {
-                    let bytes = upstream.read_body(resp_body).await?;
-                    let framing = if bytes.is_empty() {
-                        BodyFraming::None
-                    } else {
-                        BodyFraming::Length(bytes.len())
-                    };
-                    lan.write_response_head(&resp_head, framing).await?;
-                    lan.get_mut().write_all(&bytes).await?;
-                    bytes.len() as u64
-                }
-            };
+            lan.write_response_head(&resp_head, framing(&resp_body)).await?;
+            let down_bytes = upstream.pipe_body(resp_body, lan.get_mut()).await?;
             lan.flush().await?;
             self.quota.lock().consume((up_bytes + down_bytes) as f64);
         }
@@ -206,6 +182,26 @@ mod tests {
             let resp = http.read_response().await.unwrap();
             assert_eq!(resp.status, 200);
         }
+    }
+
+    #[tokio::test]
+    async fn chunked_post_never_reaches_the_origin() {
+        use tokio::io::{AsyncReadExt, AsyncWriteExt};
+        let (device, lan_addr, origin) = setup(10e6).await;
+        let mut lan = TcpStream::connect(lan_addr).await.unwrap();
+        lan.write_all(
+            b"POST /upload HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        )
+        .await
+        .unwrap();
+        // The device refuses the head and closes the LAN connection.
+        let mut reply = Vec::new();
+        let closed =
+            tokio::time::timeout(std::time::Duration::from_secs(5), lan.read_to_end(&mut reply))
+                .await;
+        assert!(matches!(closed, Ok(Ok(0))), "{closed:?}: {reply:?}");
+        assert_eq!(origin.requests_served(), 0);
+        assert_eq!(device.available_bytes(), 10e6);
     }
 
     #[tokio::test]

@@ -86,13 +86,13 @@ impl Discovery {
     }
 
     /// The address announcers should send to.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+    pub(crate) fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.socket.local_addr()
     }
 
     /// The current admissible set Φ: fresh advertisements, sorted by
     /// device name for deterministic path numbering.
-    pub fn admissible(&self) -> Vec<Advertisement> {
+    pub(crate) fn admissible(&self) -> Vec<Advertisement> {
         let now = Instant::now();
         let mut seen = self.seen.lock();
         seen.retain(|_, (_, at)| now.duration_since(*at) < TTL);

@@ -28,7 +28,7 @@ use threegol_http::codec::HttpStream;
 use threegol_http::{HttpError, Request, Response};
 use threegol_sched::TransferReport;
 
-use crate::client::ThreegolClient;
+use crate::client::{segment_targets, ThreegolClient};
 
 /// Prefetch cache state. Targets are interned `Arc<str>`s: each
 /// segment path is built exactly once per prefetch round and every
@@ -153,21 +153,14 @@ impl HlsProxy {
     }
 
     /// Begin prefetching every segment of `playlist` not already cached
-    /// or in flight. Each target string is built exactly once here;
-    /// the pending set, the fetch jobs and the arrival bookkeeping all
-    /// share it as an `Arc<str>` (the old code cloned every URI 2-3
-    /// times per round).
+    /// or in flight. Each target string is built exactly once; the
+    /// pending set, the fetch jobs and the arrival bookkeeping all
+    /// share it as an `Arc<str>`.
     fn start_prefetch(&self, playlist_target: &str, playlist: &MediaPlaylist) {
-        let base = playlist_target.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
         let fresh: Vec<Arc<str>> = {
             let mut cache = self.cache.lock();
             let mut fresh = Vec::new();
-            for (_, uri) in &playlist.entries {
-                let t: Arc<str> = if uri.starts_with('/') {
-                    Arc::from(uri.as_str())
-                } else {
-                    Arc::from(format!("{base}/{uri}"))
-                };
+            for t in segment_targets(playlist_target, playlist) {
                 if !cache.ready.contains_key(&*t)
                     && !cache.pending.contains(&*t)
                     && !cache.served.contains(&*t)
@@ -277,12 +270,14 @@ impl HlsProxy {
     }
 
     /// Number of cached (fetched, not yet served) segments.
-    pub fn cached_segments(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cached_segments(&self) -> usize {
         self.cache.lock().ready.len()
     }
 
     /// Number of segments already served (and evicted).
-    pub fn served_segments(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn served_segments(&self) -> usize {
         self.cache.lock().served.len()
     }
 }

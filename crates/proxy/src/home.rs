@@ -34,12 +34,12 @@ use bytes::Bytes;
 use tokio::net::TcpStream;
 use tokio::time::Instant;
 
-use threegol_hls::{MediaPlaylist, VideoQuality};
+use threegol_hls::VideoQuality;
 use threegol_http::codec::HttpStream;
 use threegol_http::{HttpError, Request};
 
 use crate::capacity::{CapacitySource, CellProfile, G3Source};
-use crate::client::{PathTarget, ThreegolClient};
+use crate::client::{get_media_playlist, segment_targets, PathTarget, ThreegolClient};
 use crate::device::DeviceProxy;
 use crate::discovery::{Advertisement, Announcer, Discovery};
 use crate::hlsproxy::HlsProxy;
@@ -679,20 +679,10 @@ pub(crate) fn photo_body(i: usize, photo_bytes: usize) -> Bytes {
 async fn prebuffer_vod(proxy_addr: SocketAddr, playlist: &str) -> Result<f64, HttpError> {
     let stream = TcpStream::connect(proxy_addr).await.map_err(HttpError::Io)?;
     let mut http = HttpStream::new(stream);
-    http.write_request(&Request::get(playlist)).await?;
-    let resp = http.read_response().await?;
-    if resp.status != 200 {
-        return Err(HttpError::Malformed(format!("playlist fetch failed: {}", resp.status)));
-    }
-    let text = std::str::from_utf8(&resp.body)
-        .map_err(|_| HttpError::Malformed("non-UTF-8 playlist".into()))?;
-    let media = MediaPlaylist::parse(text)
-        .map_err(|e| HttpError::Malformed(format!("bad playlist: {e}")))?;
-    let base = playlist.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
+    let media = get_media_playlist(&mut http, playlist).await?;
     let mut bytes = 0.0;
-    for (_, uri) in &media.entries {
-        let target = if uri.starts_with('/') { uri.clone() } else { format!("{base}/{uri}") };
-        http.write_request(&Request::get(target)).await?;
+    for target in segment_targets(playlist, &media) {
+        http.write_request(&Request::get(&*target)).await?;
         let seg = http.read_response().await?;
         if seg.status != 200 {
             return Err(HttpError::Malformed(format!("segment fetch failed: {}", seg.status)));

@@ -106,7 +106,8 @@ impl OriginServer {
     }
 
     /// A small origin for fast tests: short video, tiny probe.
-    pub fn small_for_tests() -> OriginServer {
+    #[cfg(test)]
+    pub(crate) fn small_for_tests() -> OriginServer {
         let ladder = vec![VideoQuality::new("Q1", 64e3)];
         let mut o = OriginServer::new(&ladder, 10.0, 2.0);
         // This origin's tree diverges from the shared one: un-share
@@ -204,8 +205,9 @@ impl OriginServer {
         self.requests_served.load(Ordering::Relaxed)
     }
 
-    /// Asset paths (for tests and examples).
-    pub fn asset_paths(&self) -> Vec<String> {
+    /// Asset paths, sorted.
+    #[cfg(test)]
+    pub(crate) fn asset_paths(&self) -> Vec<String> {
         let mut v: Vec<String> = self.assets.keys().cloned().collect();
         v.sort();
         v
