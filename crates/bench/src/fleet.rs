@@ -32,8 +32,7 @@
 use std::cell::RefCell;
 
 use threegol_proxy::{
-    CellProfile, Home, HomeReport, HomeSpec, Scenario, Tier, MAX_SCENARIO_DAYS, NO_CELL,
-    SCENARIO_FP_SCALE,
+    CellProfile, Home, HomeReport, HomeSpec, Tier, MAX_SCENARIO_DAYS, NO_CELL, SCENARIO_FP_SCALE,
 };
 use threegol_radio::{CellLoad, CellMap};
 use tokio::runtime::Runtime;
@@ -54,7 +53,7 @@ pub fn home_spec(index: u32) -> HomeSpec {
 /// scenario engine from local midnight (`hour(0)`, so every simulated
 /// day is complete) instead of the fixed paper script.
 pub fn scenario_spec(index: u32, days: u16, seed: u64) -> HomeSpec {
-    home_spec(index).hour(0).scenario(Scenario::Traced { days, seed })
+    home_spec(index).hour(0).traced(days, seed)
 }
 
 /// Default homes per streamed unit: big enough that pool bookkeeping

@@ -5,10 +5,11 @@
 //! *shared* cells of a city. This module is the API that lets both
 //! worlds coexist: [`Home::run`](crate::Home::run) asks a
 //! [`CapacitySource`] for its phones' rate limits instead of owning
-//! raw bits-per-second fields, and the source either hands out a fixed
-//! private rate ([`Isolated`] — the pre-coupling behaviour, bit for
-//! bit) or samples a per-phone *share* of one shared cell at the
-//! home's hour of day ([`CellProfile`]).
+//! raw bits-per-second fields. Its one implementation, [`G3Source`],
+//! either hands out a fixed private rate
+//! ([`G3Source::Isolated`] — the pre-coupling behaviour, bit for bit)
+//! or samples a per-phone *share* of one shared cell at the home's hour
+//! of day ([`G3Source::Cell`], a [`CellProfile`]).
 //!
 //! Everything here is plain `Copy` data on purpose: a
 //! [`HomeSpec`](crate::HomeSpec) must stay a stack-built pure function
@@ -23,9 +24,10 @@ use crate::throttle::RateLimit;
 
 /// Where a phone's 3G capacity comes from.
 ///
-/// Implementors answer one question: at hour-of-day `hour`, what rate
-/// limits does one phone of this home get? [`Home::run`](crate::Home::run)
-/// consumes the answer when it builds its device proxies.
+/// [`G3Source`], the one implementation, answers one question: at
+/// hour-of-day `hour`, what rate limits does one phone of this home
+/// get? [`Home::run`](crate::Home::run) consumes the answer when it
+/// builds its device proxies.
 pub trait CapacitySource {
     /// Per-phone downlink and uplink limits at hour-of-day `hour`
     /// (`[0, 24)`, wrapped otherwise).
@@ -33,35 +35,7 @@ pub trait CapacitySource {
 
     /// The shared cell this source draws from, if any. `None` for
     /// private capacity.
-    fn cell(&self) -> Option<u32> {
-        None
-    }
-}
-
-/// Private per-phone 3G rates — each phone owns its pipe, no cell is
-/// shared, the hour of day is irrelevant. This reproduces the
-/// uncoupled prototype exactly.
-///
-/// ```
-/// use threegol_proxy::{CapacitySource, Isolated};
-/// let g3 = Isolated { down_bps: 2e6, up_bps: 1e6 };
-/// let (down, up) = g3.phone_limits(19.0);
-/// assert_eq!(down.rate_bps, 2e6);
-/// assert_eq!(up.rate_bps, 1e6);
-/// assert_eq!(g3.cell(), None);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Isolated {
-    /// Each phone's 3G downlink, bits/s.
-    pub down_bps: f64,
-    /// Each phone's 3G uplink, bits/s.
-    pub up_bps: f64,
-}
-
-impl CapacitySource for Isolated {
-    fn phone_limits(&self, _hour: f64) -> (RateLimit, RateLimit) {
-        (RateLimit::new(self.down_bps), RateLimit::new(self.up_bps))
-    }
+    fn cell(&self) -> Option<u32>;
 }
 
 /// A per-phone share of one shared 3G cell, as a diurnal curve: 24
@@ -76,8 +50,8 @@ impl CapacitySource for Isolated {
 /// hourly rate.
 ///
 /// ```
-/// use threegol_proxy::{CapacitySource, CellProfile};
-/// let share = CellProfile::flat(3, 1.5e6, 0.8e6);
+/// use threegol_proxy::{CapacitySource, CellProfile, G3Source};
+/// let share = G3Source::Cell(CellProfile::flat(3, 1.5e6, 0.8e6));
 /// assert_eq!(share.cell(), Some(3));
 /// let (down, _up) = share.phone_limits(21.9);
 /// assert_eq!(down.rate_bps, 1.5e6);
@@ -98,60 +72,55 @@ impl CellProfile {
     pub fn flat(cell: u32, down_bps: f64, up_bps: f64) -> CellProfile {
         CellProfile { cell, down_bps: [down_bps; 24], up_bps: [up_bps; 24] }
     }
-
-    /// The `(down, up)` share at hour-of-day `hour`, bits/s.
-    pub(crate) fn at_hour(&self, hour: f64) -> (f64, f64) {
-        let h = hour.rem_euclid(24.0).floor() as usize % 24;
-        (self.down_bps[h], self.up_bps[h])
-    }
 }
 
-impl CapacitySource for CellProfile {
-    fn phone_limits(&self, hour: f64) -> (RateLimit, RateLimit) {
-        let (down, up) = self.at_hour(hour);
-        (RateLimit::new(down), RateLimit::new(up))
-    }
-
-    fn cell(&self) -> Option<u32> {
-        Some(self.cell)
-    }
-}
-
-/// The capacity source a [`HomeSpec`](crate::HomeSpec) carries:
-/// a closed `Copy` sum of the two implementations, so a spec stays a
-/// fixed-size value that can be built on a worker's stack from an
-/// index alone.
+/// The capacity source a [`HomeSpec`](crate::HomeSpec) carries: a
+/// closed `Copy` sum, so a spec stays a fixed-size value that can be
+/// built on a worker's stack from an index alone.
+///
+/// ```
+/// use threegol_proxy::{CapacitySource, G3Source};
+/// let g3 = G3Source::Isolated { down_bps: 2e6, up_bps: 1e6 };
+/// let (down, up) = g3.phone_limits(19.0);
+/// assert_eq!(down.rate_bps, 2e6);
+/// assert_eq!(up.rate_bps, 1e6);
+/// assert_eq!(g3.cell(), None);
+/// ```
 // The variant sizes differ wildly (16 bytes vs a 392-byte share
 // curve), but boxing the big one would defeat the type's purpose:
 // specs must be `Copy` values built on worker stacks with no heap.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum G3Source {
-    /// Private per-phone rates (the uncoupled prototype).
-    Isolated(Isolated),
-    /// A per-phone share of a shared cell.
+    /// Private per-phone rates: each phone owns its pipe, no cell is
+    /// shared and the hour of day is irrelevant. This reproduces the
+    /// uncoupled prototype exactly.
+    Isolated {
+        /// Each phone's 3G downlink, bits/s.
+        down_bps: f64,
+        /// Each phone's 3G uplink, bits/s.
+        up_bps: f64,
+    },
+    /// A per-phone share of a shared cell, sampled at the whole hour.
     Cell(CellProfile),
-}
-
-impl G3Source {
-    /// Private `down`/`up` bits-per-second rates per phone.
-    pub fn isolated(down_bps: f64, up_bps: f64) -> G3Source {
-        G3Source::Isolated(Isolated { down_bps, up_bps })
-    }
 }
 
 impl CapacitySource for G3Source {
     fn phone_limits(&self, hour: f64) -> (RateLimit, RateLimit) {
-        match self {
-            G3Source::Isolated(source) => source.phone_limits(hour),
-            G3Source::Cell(source) => source.phone_limits(hour),
-        }
+        let (down, up) = match self {
+            G3Source::Isolated { down_bps, up_bps } => (*down_bps, *up_bps),
+            G3Source::Cell(profile) => {
+                let h = hour.rem_euclid(24.0).floor() as usize % 24;
+                (profile.down_bps[h], profile.up_bps[h])
+            }
+        };
+        (RateLimit::new(down), RateLimit::new(up))
     }
 
     fn cell(&self) -> Option<u32> {
         match self {
-            G3Source::Isolated(source) => source.cell(),
-            G3Source::Cell(source) => source.cell(),
+            G3Source::Isolated { .. } => None,
+            G3Source::Cell(profile) => Some(profile.cell),
         }
     }
 }
@@ -162,7 +131,7 @@ mod tests {
 
     #[test]
     fn isolated_ignores_the_hour() {
-        let g3 = G3Source::isolated(2e6, 1e6);
+        let g3 = G3Source::Isolated { down_bps: 2e6, up_bps: 1e6 };
         for hour in [0.0, 11.5, 23.99, -3.0, 36.0] {
             let (down, up) = g3.phone_limits(hour);
             assert_eq!(down, RateLimit::new(2e6));
@@ -190,6 +159,6 @@ mod tests {
         let a = G3Source::Cell(CellProfile::flat(1, 1e6, 5e5));
         let b = a; // Copy
         assert_eq!(a, b);
-        assert_ne!(a, G3Source::isolated(1e6, 5e5));
+        assert_ne!(a, G3Source::Isolated { down_bps: 1e6, up_bps: 5e5 });
     }
 }

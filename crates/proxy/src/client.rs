@@ -72,14 +72,9 @@ impl PathTarget {
         let stream: Box<dyn AsyncStream> = match self {
             PathTarget::SharedGateway { origin, down, up } => {
                 let tcp = TcpStream::connect(*origin).await?;
-                tcp.set_nodelay(true).ok();
                 Box::new(ThrottledStream::with_shared(tcp, down.clone(), up.clone()))
             }
-            PathTarget::Device { addr } => {
-                let tcp = TcpStream::connect(*addr).await?;
-                tcp.set_nodelay(true).ok();
-                Box::new(tcp)
-            }
+            PathTarget::Device { addr } => Box::new(TcpStream::connect(*addr).await?),
         };
         Ok(match wifi {
             Some(medium) => {
@@ -167,20 +162,20 @@ impl ThreegolClient {
         targets: Vec<Arc<str>>,
     ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
         let jobs: Vec<Job> = targets.into_iter().map(Job::Fetch).collect();
-        self.run(jobs, None, None).await
+        self.run(jobs, None, &mut |_, _| {}).await
     }
 
-    /// Like [`ThreegolClient::fetch`], but additionally delivers each
-    /// item's body through `ready_tx` the moment it completes — the
+    /// Like [`ThreegolClient::fetch`], but additionally hands each
+    /// item's body to `on_body` the moment its first copy lands — the
     /// HLS-aware proxy serves segments to the player as they land
     /// rather than waiting for the whole transaction.
     pub(crate) async fn fetch_streaming(
         &self,
         targets: Vec<Arc<str>>,
-        ready_tx: mpsc::UnboundedSender<(usize, Bytes)>,
+        on_body: &mut (dyn FnMut(usize, Bytes) + Send),
     ) -> Result<TransferReport, HttpError> {
         let jobs: Vec<Job> = targets.into_iter().map(Job::Fetch).collect();
-        let (_, report) = self.run(jobs, None, Some(ready_tx)).await?;
+        let (_, report) = self.run(jobs, None, on_body).await?;
         Ok(report)
     }
 
@@ -210,7 +205,7 @@ impl ThreegolClient {
         let sizes: Vec<f64> = photos.iter().map(|(_, d)| d.len() as f64).collect();
         let jobs: Vec<Job> =
             photos.into_iter().map(|(filename, data)| Job::Upload { filename, data }).collect();
-        let (_, report) = self.run(jobs, Some(sizes), None).await?;
+        let (_, report) = self.run(jobs, Some(sizes), &mut |_, _| {}).await?;
         Ok(report)
     }
 
@@ -220,19 +215,20 @@ impl ThreegolClient {
         &self,
         jobs: Vec<Job>,
         sizes: Option<Vec<f64>>,
-        ready_tx: Option<mpsc::UnboundedSender<(usize, Bytes)>>,
+        on_body: &mut (dyn FnMut(usize, Bytes) + Send),
     ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
         let sizes = sizes.unwrap_or_else(|| vec![1.0; jobs.len()]);
         let mut sched = Greedy::new(TransactionSpec::new(sizes, self.paths.len()));
-        self.drive(jobs, &mut sched, ready_tx).await
+        self.drive(jobs, &mut sched, on_body).await
     }
 
-    /// Drive `sched` over real connections.
+    /// Drive `sched` over real connections, handing each item's body
+    /// to `on_body` as its first copy lands.
     async fn drive(
         &self,
         jobs: Vec<Job>,
         sched: &mut dyn MultipathScheduler,
-        ready_tx: Option<mpsc::UnboundedSender<(usize, Bytes)>>,
+        on_body: &mut (dyn FnMut(usize, Bytes) + Send),
     ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
         let started = Instant::now();
         let clock = || started.elapsed().as_secs_f64();
@@ -270,9 +266,7 @@ impl ThreegolClient {
                         Job::Upload { data, .. } => data.len(),
                     };
                     if book.completed(path, item, now, moved, bytes as f64, &mut tasks) {
-                        if let Some(tx) = &ready_tx {
-                            let _ = tx.send((item, body.clone()));
-                        }
+                        on_body(item, body.clone());
                         bodies[item] = body;
                     }
                 }
@@ -571,7 +565,7 @@ mod tests {
             .collect();
         let spec = TransactionSpec::new(sizes.iter().map(|&n| n as f64).collect(), 2);
         let mut sched = Recording { greedy: Greedy::new(spec), heard: Vec::new() };
-        client.drive(jobs, &mut sched, None).await.unwrap();
+        client.drive(jobs, &mut sched, &mut |_, _| {}).await.unwrap();
         sched.heard.sort_by_key(|&(item, _)| item);
         assert_eq!(sched.heard, vec![(0, 10_000.0), (1, 20_000.0), (2, 30_000.0)]);
     }
@@ -587,7 +581,7 @@ mod tests {
         let spec = TransactionSpec::uniform(n, 2, 64_000.0);
         let mut sched = PlayoutAware::new(spec, deadlines.clone(), horizon);
         let jobs = (0..n).map(|_| Job::Fetch(Arc::from("/probe.bin"))).collect();
-        let (bodies, report) = client.drive(jobs, &mut sched, None).await.unwrap();
+        let (bodies, report) = client.drive(jobs, &mut sched, &mut |_, _| {}).await.unwrap();
         assert!(bodies.iter().all(|b| b.len() == 64_000));
         for (i, (&landed, &due)) in report.item_secs.iter().zip(&deadlines).enumerate().skip(2) {
             let opens = due - horizon;

@@ -108,16 +108,16 @@ impl DeviceProxy {
     /// the phone proxy's memory budget. A head the codec refuses (an
     /// undeclared body length included) ends the connection before
     /// anything of that message is forwarded.
+    ///
+    /// The 3G bearer opens when the first request head has been read:
+    /// a LAN peer that sends nothing, or only a head the codec refuses,
+    /// costs the phone no upstream connection.
     pub(crate) async fn serve_lan_connection(
         &self,
         lan: TcpStream,
     ) -> Result<(), threegol_http::HttpError> {
-        lan.set_nodelay(true).ok();
-        let upstream_tcp = TcpStream::connect(self.upstream).await?;
-        upstream_tcp.set_nodelay(true).ok();
-        let (g3_down, g3_up) = *self.rates.lock();
-        let mut upstream = HttpStream::new(ThrottledStream::new(upstream_tcp, g3_down, g3_up));
         let mut lan = HttpStream::new(lan);
+        let mut bearer = None;
         // A `Full` body from a head reader is the empty body of a
         // bodyless message.
         let framing = |body: &Body| match body {
@@ -125,6 +125,14 @@ impl DeviceProxy {
             Body::Full(_) => BodyFraming::None,
         };
         while let Some((head, body)) = lan.read_request_head().await? {
+            let upstream = match &mut bearer {
+                Some(upstream) => upstream,
+                None => {
+                    let tcp = TcpStream::connect(self.upstream).await?;
+                    let (g3_down, g3_up) = *self.rates.lock();
+                    bearer.insert(HttpStream::new(ThrottledStream::new(tcp, g3_down, g3_up)))
+                }
+            };
             upstream.write_request_head(&head, framing(&body)).await?;
             let up_bytes = lan.pipe_body(body, upstream.get_mut()).await?;
             upstream.flush().await?;
@@ -188,6 +196,7 @@ mod tests {
     async fn chunked_post_never_reaches_the_origin() {
         use tokio::io::{AsyncReadExt, AsyncWriteExt};
         let (device, lan_addr, origin) = setup(10e6).await;
+        let connects = tokio::net::stats().tcp_connects;
         let mut lan = TcpStream::connect(lan_addr).await.unwrap();
         lan.write_all(
             b"POST /upload HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
@@ -202,6 +211,9 @@ mod tests {
         assert!(matches!(closed, Ok(Ok(0))), "{closed:?}: {reply:?}");
         assert_eq!(origin.requests_served(), 0);
         assert_eq!(device.available_bytes(), 10e6);
+        // The refused head opened no 3G bearer: the LAN connection is
+        // the only TCP connect it cost.
+        assert_eq!(tokio::net::stats().tcp_connects - connects, 1);
     }
 
     #[tokio::test]

@@ -166,13 +166,14 @@ mod tests {
         assert_eq!(ads[0].available_bytes, 5e6);
     }
 
-    #[tokio::test(start_paused = true)]
+    #[tokio::test]
     async fn stale_entries_expire() {
         let disc = Discovery::bind("127.0.0.1:0").await.unwrap();
-        // Insert directly (paused time makes real UDP awkward).
+        // Insert directly, stamped now, then let the virtual clock run
+        // past the 3 s TTL.
         disc.seen.lock().insert("phone-1".into(), (ad("phone-1", 1e6), Instant::now()));
         assert_eq!(disc.admissible().len(), 1);
-        tokio::time::advance(Duration::from_secs(4)).await;
+        tokio::time::sleep(Duration::from_secs(4)).await;
         assert!(disc.admissible().is_empty());
     }
 }

@@ -6,13 +6,21 @@
 //!
 //! [`HlsProxy`] is what the video player actually talks to: a local
 //! HTTP proxy. A playlist request is forwarded upstream over the
-//! gateway path; the moment the playlist is parsed, a background task
+//! gateway path; the moment the playlist is parsed, one background task
 //! prefetches every segment over all available paths, and subsequent
 //! segment requests are served from the prefetch cache (blocking until
 //! the segment lands). The player is completely unaware of 3GOL — the
 //! paper's transparency requirement (§4.1: "this implementation is
 //! completely transparent to the residential gateway" and needs no
 //! server changes).
+//!
+//! The proxy keeps one `State` behind one lock — the cache (ready,
+//! pending and served segments) and the bytes each path moved — and
+//! one [`Notify`] that wakes waiting players whenever a prefetch lands
+//! a segment or ends. A prefetch task closes its books in the poll
+//! that lands its last segment, so a player holding every segment
+//! never sees the tallies short and nobody has to wait for the proxy
+//! to go idle.
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -21,7 +29,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::{mpsc, Notify};
+use tokio::sync::Notify;
 
 use threegol_hls::MediaPlaylist;
 use threegol_http::codec::HttpStream;
@@ -30,12 +38,13 @@ use threegol_sched::TransferReport;
 
 use crate::client::{segment_targets, ThreegolClient};
 
-/// Prefetch cache state. Targets are interned `Arc<str>`s: each
-/// segment path is built exactly once per prefetch round and every
-/// map, set, in-flight fetch and eviction shares that one allocation
-/// (lookups by `&str` still work — `Arc<str>: Borrow<str>`).
+/// The proxy's books: the prefetch cache and the per-path byte
+/// tallies. Targets are interned `Arc<str>`s: each segment path is
+/// built exactly once per prefetch round and every map, set, in-flight
+/// fetch and eviction shares that one allocation (lookups by `&str`
+/// still work — `Arc<str>: Borrow<str>`).
 #[derive(Default)]
-struct Cache {
+struct State {
     /// Segment target → body, once fetched and not yet served.
     ready: HashMap<Arc<str>, Bytes>,
     /// Targets currently being prefetched.
@@ -46,26 +55,18 @@ struct Cache {
     /// Consulted by prefetch so a playlist re-intercept does not
     /// refetch them.
     served: HashSet<Arc<str>>,
+    /// Bytes that crossed each path index (0 = gateway, 1.. = phones)
+    /// across every transfer this proxy issued, aborted partials
+    /// included — the load the access links saw.
+    path_bytes: Vec<f64>,
 }
 
-/// Per-path byte tallies across every transfer this proxy issued,
-/// plus the number of prefetch transfers still settling their books.
-#[derive(Default)]
-struct PathStats {
-    /// Bytes that crossed each path index (0 = gateway, 1.. = phones),
-    /// aborted partials included — the load the access links saw.
-    bytes: Vec<f64>,
-    /// Prefetch transfers in flight (fetch kicked off, report not yet
-    /// folded in).
-    in_flight: usize,
-}
-
-impl PathStats {
+impl State {
     fn note(&mut self, report: &TransferReport) {
-        if self.bytes.len() < report.bytes_per_path.len() {
-            self.bytes.resize(report.bytes_per_path.len(), 0.0);
+        if self.path_bytes.len() < report.bytes_per_path.len() {
+            self.path_bytes.resize(report.bytes_per_path.len(), 0.0);
         }
-        for (acc, v) in self.bytes.iter_mut().zip(&report.bytes_per_path) {
+        for (acc, v) in self.path_bytes.iter_mut().zip(&report.bytes_per_path) {
             *acc += *v;
         }
     }
@@ -74,10 +75,9 @@ impl PathStats {
 /// The HLS-aware local proxy.
 pub struct HlsProxy {
     client: Arc<ThreegolClient>,
-    cache: Arc<Mutex<Cache>>,
-    arrived: Arc<Notify>,
-    stats: Arc<Mutex<PathStats>>,
-    idle: Arc<Notify>,
+    state: Arc<Mutex<State>>,
+    /// Woken whenever a prefetch lands a segment or ends.
+    changed: Arc<Notify>,
 }
 
 impl HlsProxy {
@@ -85,10 +85,8 @@ impl HlsProxy {
     pub fn new(client: ThreegolClient) -> HlsProxy {
         HlsProxy {
             client: Arc::new(client),
-            cache: Arc::new(Mutex::new(Cache::default())),
-            arrived: Arc::new(Notify::new()),
-            stats: Arc::new(Mutex::new(PathStats::default())),
-            idle: Arc::new(Notify::new()),
+            state: Arc::new(Mutex::new(State::default())),
+            changed: Arc::new(Notify::new()),
         }
     }
 
@@ -113,7 +111,6 @@ impl HlsProxy {
 
     /// Serve one player connection.
     pub(crate) async fn serve_connection(&self, stream: TcpStream) -> Result<(), HttpError> {
-        stream.set_nodelay(true).ok();
         let mut http = HttpStream::new(stream);
         while let Some(req) = http.read_request().await? {
             let resp = self.handle(&req).await?;
@@ -140,7 +137,7 @@ impl HlsProxy {
     /// playlist next, which triggers the prefetch.
     async fn handle_playlist(&self, target: &str) -> Result<Response, HttpError> {
         let (bodies, report) = self.client.fetch(vec![Arc::from(target)]).await?;
-        self.stats.lock().note(&report);
+        self.state.lock().note(&report);
         let body = bodies.into_iter().next().expect("one body");
         if let Ok(text) = std::str::from_utf8(&body) {
             if let Ok(playlist) = MediaPlaylist::parse(text) {
@@ -153,19 +150,22 @@ impl HlsProxy {
     }
 
     /// Begin prefetching every segment of `playlist` not already cached
-    /// or in flight. Each target string is built exactly once; the
-    /// pending set, the fetch jobs and the arrival bookkeeping all
-    /// share it as an `Arc<str>`.
+    /// or in flight, on one task: it lands each body in the cache as
+    /// its first copy arrives, and when the transfer ends it notes the
+    /// report and clears whatever is still pending, so a waiting player
+    /// falls back to a direct fetch instead of waiting forever. Each
+    /// target string is built exactly once; the pending set, the fetch
+    /// jobs and the landing all share it as an `Arc<str>`.
     fn start_prefetch(&self, playlist_target: &str, playlist: &MediaPlaylist) {
         let fresh: Vec<Arc<str>> = {
-            let mut cache = self.cache.lock();
+            let mut state = self.state.lock();
             let mut fresh = Vec::new();
             for t in segment_targets(playlist_target, playlist) {
-                if !cache.ready.contains_key(&*t)
-                    && !cache.pending.contains(&*t)
-                    && !cache.served.contains(&*t)
+                if !state.ready.contains_key(&*t)
+                    && !state.pending.contains(&*t)
+                    && !state.served.contains(&*t)
                 {
-                    cache.pending.insert(Arc::clone(&t));
+                    state.pending.insert(Arc::clone(&t));
                     fresh.push(t);
                 }
             }
@@ -175,46 +175,29 @@ impl HlsProxy {
             return;
         }
         let client = Arc::clone(&self.client);
-        let cache = Arc::clone(&self.cache);
-        let arrived = Arc::clone(&self.arrived);
-        let stats = Arc::clone(&self.stats);
-        let idle = Arc::clone(&self.idle);
-        let (tx, mut rx) = mpsc::unbounded_channel::<(usize, Bytes)>();
-        // Both tasks below share one target list; the fetch call gets
-        // its own Vec of refcount bumps, not string copies.
-        let targets: Arc<[Arc<str>]> = fresh.into();
-        let fetch_targets: Vec<Arc<str>> = targets.to_vec();
-        stats.lock().in_flight += 1;
+        let state = Arc::clone(&self.state);
+        let changed = Arc::clone(&self.changed);
         tokio::spawn(async move {
-            let report = client.fetch_streaming(fetch_targets, tx).await;
-            let mut s = stats.lock();
+            let mut land = |idx: usize, body: Bytes| {
+                let t = &fresh[idx];
+                let mut s = state.lock();
+                s.pending.remove(&**t);
+                s.ready.insert(Arc::clone(t), body);
+                drop(s);
+                changed.notify_waiters();
+            };
+            // The fetch gets its own Vec of refcount bumps, not string
+            // copies.
+            let report = client.fetch_streaming(fresh.clone(), &mut land).await;
+            let mut s = state.lock();
             if let Ok(report) = report {
                 s.note(&report);
             }
-            s.in_flight -= 1;
-            let now_idle = s.in_flight == 0;
+            for t in &fresh {
+                s.pending.remove(&**t);
+            }
             drop(s);
-            if now_idle {
-                idle.notify_waiters();
-            }
-        });
-        tokio::spawn(async move {
-            while let Some((idx, body)) = rx.recv().await {
-                let mut c = cache.lock();
-                let t = &targets[idx];
-                c.pending.remove(&**t);
-                c.ready.insert(Arc::clone(t), body);
-                drop(c);
-                arrived.notify_waiters();
-            }
-            // Fetch task ended: clear any leftovers so segment requests
-            // fall back to direct fetches instead of waiting forever.
-            let mut c = cache.lock();
-            for t in targets.iter() {
-                c.pending.remove(&**t);
-            }
-            drop(c);
-            arrived.notify_waiters();
+            changed.notify_waiters();
         });
     }
 
@@ -226,80 +209,83 @@ impl HlsProxy {
     /// the prefetch window instead of the whole video.
     async fn handle_segment(&self, target: &str) -> Result<Response, HttpError> {
         loop {
-            let notified = self.arrived.notified();
-            let in_flight = {
-                let mut cache = self.cache.lock();
+            let changed = self.changed.notified();
+            let pending = {
+                let mut state = self.state.lock();
                 // `remove_entry` recovers the interned key so the
                 // served set reuses it instead of re-allocating.
-                if let Some((key, body)) = cache.ready.remove_entry(target) {
-                    cache.served.insert(key);
+                if let Some((key, body)) = state.ready.remove_entry(target) {
+                    state.served.insert(key);
                     return Ok(Response::ok("video/mp2t", body));
                 }
-                cache.pending.contains(target)
+                state.pending.contains(target)
             };
-            if !in_flight {
-                // Not part of any intercepted playlist: fetch directly.
+            if !pending {
+                // Not part of any intercepted playlist, or its
+                // prefetch gave up: fetch directly.
                 let interned: Arc<str> = Arc::from(target);
                 let (bodies, report) = self.client.fetch(vec![Arc::clone(&interned)]).await?;
-                self.stats.lock().note(&report);
+                let mut state = self.state.lock();
+                state.note(&report);
+                state.served.insert(interned);
                 let body = bodies.into_iter().next().expect("one body");
-                self.cache.lock().served.insert(interned);
                 return Ok(Response::ok("video/mp2t", body));
             }
-            notified.await;
-        }
-    }
-
-    /// Wait until no prefetch transfer is settling its books, so the
-    /// per-path tallies below are complete. Returns immediately when
-    /// nothing is in flight.
-    pub(crate) async fn wait_idle(&self) {
-        loop {
-            let notified = self.idle.notified();
-            if self.stats.lock().in_flight == 0 {
-                return;
-            }
-            notified.await;
+            changed.await;
         }
     }
 
     /// Bytes this proxy's transfers moved over device (3G) paths —
     /// the downlink burden the phones' cells carried.
+    ///
+    /// Complete as soon as the player holds every segment it asked
+    /// for: a prefetch notes its report in the same poll that lands its
+    /// last segment, with no await in between, and the player can only
+    /// get that segment after it lands.
     pub(crate) fn device_bytes(&self) -> f64 {
-        self.stats.lock().bytes.iter().skip(1).sum()
+        self.state.lock().path_bytes.iter().skip(1).sum()
     }
 
     /// Number of cached (fetched, not yet served) segments.
     #[cfg(test)]
     pub(crate) fn cached_segments(&self) -> usize {
-        self.cache.lock().ready.len()
+        self.state.lock().ready.len()
     }
 
     /// Number of segments already served (and evicted).
     #[cfg(test)]
     pub(crate) fn served_segments(&self) -> usize {
-        self.cache.lock().served.len()
+        self.state.lock().served.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceProxy;
     use crate::origin::OriginServer;
-    use crate::throttle::SharedRateLimit;
+    use crate::throttle::{RateLimit, SharedRateLimit};
     use crate::PathTarget;
     use threegol_hls::VideoQuality;
 
-    async fn setup() -> (Arc<HlsProxy>, SocketAddr, Arc<OriginServer>) {
+    /// An origin serving a 10 s, 64 kbit/s video in 2 s segments, and
+    /// a proxy over the gateway path to it plus `phones` device paths.
+    async fn setup(phones: usize) -> (Arc<HlsProxy>, SocketAddr, Arc<OriginServer>) {
         let ladder = vec![VideoQuality::new("Q1", 64e3)];
         let origin = Arc::new(OriginServer::new(&ladder, 10.0, 2.0));
         let (origin_addr, _t) = origin.clone().spawn("127.0.0.1:0").await.unwrap();
-        let client = ThreegolClient::new(vec![PathTarget::SharedGateway {
+        let mut paths = vec![PathTarget::SharedGateway {
             origin: origin_addr,
             down: SharedRateLimit::from_bps(8_000_000),
             up: SharedRateLimit::from_bps(2_000_000),
-        }]);
-        let proxy = Arc::new(HlsProxy::new(client));
+        }];
+        for i in 0..phones {
+            let (g3_down, g3_up) = (RateLimit::new(2e6), RateLimit::new(1e6));
+            let device = DeviceProxy::new(format!("phone-{i}"), origin_addr, g3_down, g3_up, 1e9);
+            let (addr, _t) = Arc::new(device).spawn("127.0.0.1:0").await.unwrap();
+            paths.push(PathTarget::Device { addr });
+        }
+        let proxy = Arc::new(HlsProxy::new(ThreegolClient::new(paths)));
         let (addr, _t2) = proxy.clone().spawn("127.0.0.1:0").await.unwrap();
         (proxy, addr, origin)
     }
@@ -313,7 +299,7 @@ mod tests {
 
     #[tokio::test]
     async fn player_flow_playlist_then_segments() {
-        let (proxy, addr, _origin) = setup().await;
+        let (proxy, addr, _origin) = setup(0).await;
         // The player asks for the playlist — prefetch starts behind it.
         let pl = player_get(addr, "/q1/index.m3u8").await;
         assert_eq!(pl.status, 200);
@@ -333,7 +319,7 @@ mod tests {
 
     #[tokio::test]
     async fn served_segments_are_not_refetched_on_replaylist() {
-        let (proxy, addr, origin) = setup().await;
+        let (proxy, addr, origin) = setup(0).await;
         let _ = player_get(addr, "/q1/index.m3u8").await;
         for i in 0..5 {
             let seg = player_get(addr, &format!("/q1/seg{i:05}.ts")).await;
@@ -350,7 +336,7 @@ mod tests {
 
     #[tokio::test]
     async fn master_playlist_passes_through() {
-        let (proxy, addr, _origin) = setup().await;
+        let (proxy, addr, _origin) = setup(0).await;
         let master = player_get(addr, "/master.m3u8").await;
         assert_eq!(master.status, 200);
         assert!(std::str::from_utf8(&master.body).unwrap().contains("STREAM-INF"));
@@ -361,7 +347,7 @@ mod tests {
 
     #[tokio::test]
     async fn direct_segment_fetch_without_playlist() {
-        let (_proxy, addr, _origin) = setup().await;
+        let (_proxy, addr, _origin) = setup(0).await;
         let seg = player_get(addr, "/q1/seg00002.ts").await;
         assert_eq!(seg.status, 200);
         assert_eq!(seg.body.len(), 16_000);
@@ -369,7 +355,7 @@ mod tests {
 
     #[tokio::test]
     async fn repeated_playlist_requests_do_not_refetch() {
-        let (proxy, addr, origin) = setup().await;
+        let (proxy, addr, origin) = setup(0).await;
         let _ = player_get(addr, "/q1/index.m3u8").await;
         // Wait for the prefetch to finish.
         for _ in 0..100 {
@@ -386,8 +372,62 @@ mod tests {
     }
 
     #[tokio::test]
+    async fn a_prefetch_that_gives_up_releases_the_waiting_player() {
+        // A stub origin whose playlist names a segment it answers with
+        // 404, a virtual second late: the player's segment request
+        // waits on the prefetch, which fails for good. Clearing the
+        // leftover pending target hands the player to a direct fetch,
+        // which fails too, and the proxy closes the connection.
+        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let origin = listener.local_addr().unwrap();
+        tokio::spawn(async move {
+            while let Ok((stream, _)) = listener.accept().await {
+                tokio::spawn(async move {
+                    let mut http = HttpStream::new(stream);
+                    while let Ok(Some(req)) = http.read_request().await {
+                        let resp = if req.target.ends_with(".m3u8") {
+                            let playlist = "#EXTM3U\n#EXTINF:2.0,\ngone.ts\n#EXT-X-ENDLIST\n";
+                            Response::ok("application/vnd.apple.mpegurl", playlist.into())
+                        } else {
+                            tokio::time::sleep(std::time::Duration::from_secs(1)).await;
+                            Response::not_found()
+                        };
+                        if http.write_response(&resp).await.is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        let client = ThreegolClient::new(vec![PathTarget::SharedGateway {
+            origin,
+            down: SharedRateLimit::from_bps(8_000_000),
+            up: SharedRateLimit::from_bps(2_000_000),
+        }]);
+        let (addr, _t) = Arc::new(HlsProxy::new(client)).spawn("127.0.0.1:0").await.unwrap();
+        assert_eq!(player_get(addr, "/v/index.m3u8").await.status, 200);
+        let mut http = HttpStream::new(TcpStream::connect(addr).await.unwrap());
+        http.write_request(&Request::get("/v/gone.ts")).await.unwrap();
+        let seg = http.read_response().await;
+        assert!(matches!(seg, Err(HttpError::UnexpectedEof)), "{seg:?}");
+    }
+
+    #[tokio::test]
+    async fn device_bytes_are_complete_once_the_player_holds_every_segment() {
+        let (proxy, addr, _origin) = setup(1).await;
+        let _ = player_get(addr, "/q1/index.m3u8").await;
+        for i in 0..5 {
+            assert_eq!(player_get(addr, &format!("/q1/seg{i:05}.ts")).await.status, 200);
+        }
+        let at_last_segment = proxy.device_bytes();
+        tokio::time::sleep(std::time::Duration::from_secs(60)).await;
+        assert_eq!(at_last_segment, proxy.device_bytes());
+        assert!(at_last_segment > 0.0);
+    }
+
+    #[tokio::test]
     async fn non_get_rejected() {
-        let (_proxy, addr, _origin) = setup().await;
+        let (_proxy, addr, _origin) = setup(0).await;
         let stream = TcpStream::connect(addr).await.unwrap();
         let mut http = HttpStream::new(stream);
         http.write_request(&Request::post("/x", "t/p", Bytes::new())).await.unwrap();

@@ -37,6 +37,7 @@ use tokio::time::Instant;
 use threegol_hls::VideoQuality;
 use threegol_http::codec::HttpStream;
 use threegol_http::{HttpError, Request};
+use threegol_traces::scenario::ScenarioConfig;
 
 use crate::capacity::{CapacitySource, CellProfile, G3Source};
 use crate::client::{get_media_playlist, segment_targets, PathTarget, ThreegolClient};
@@ -259,7 +260,7 @@ impl HomeSpec {
             devices: 2,
             adsl_down_bps: tier.adsl_down_bps(),
             adsl_up_bps: tier.adsl_up_bps(),
-            g3: G3Source::isolated(2e6, 1e6),
+            g3: G3Source::Isolated { down_bps: 2e6, up_bps: 1e6 },
             hour: 12,
             wifi_bps: 30e6,
             allowance_bytes: 50e6,
@@ -298,7 +299,7 @@ impl HomeSpec {
 
     /// Give the phones private 3G rates (the uncoupled default).
     pub fn isolated(mut self, down_bps: f64, up_bps: f64) -> HomeSpec {
-        self.g3 = G3Source::isolated(down_bps, up_bps);
+        self.g3 = G3Source::Isolated { down_bps, up_bps };
         self
     }
 
@@ -310,21 +311,15 @@ impl HomeSpec {
         self
     }
 
-    /// Choose how the workload is driven.
-    pub fn scenario(mut self, scenario: Scenario) -> HomeSpec {
-        if let Scenario::Traced { days, .. } = scenario {
-            assert!(
-                (1..=MAX_SCENARIO_DAYS as u16).contains(&days),
-                "traced scenario must run 1..={MAX_SCENARIO_DAYS} days, got {days}"
-            );
-        }
-        self.scenario = scenario;
+    /// Drive the workload as a [`Scenario::Traced`] run of `days`
+    /// days (`1..=MAX_SCENARIO_DAYS`) at scenario seed `seed`.
+    pub fn traced(mut self, days: u16, seed: u64) -> HomeSpec {
+        assert!(
+            (1..=MAX_SCENARIO_DAYS as u16).contains(&days),
+            "traced scenario must run 1..={MAX_SCENARIO_DAYS} days, got {days}"
+        );
+        self.scenario = Scenario::Traced { days, seed };
         self
-    }
-
-    /// Shorthand for a [`Scenario::Traced`] run of `days` days.
-    pub fn traced(self, days: u16, seed: u64) -> HomeSpec {
-        self.scenario(Scenario::Traced { days, seed })
     }
 }
 
@@ -449,7 +444,9 @@ impl Home {
     pub async fn run(spec: &HomeSpec) -> Result<HomeReport, HttpError> {
         match spec.scenario {
             Scenario::PaperDefault => Home::run_paper(spec).await,
-            Scenario::Traced { days, seed } => crate::scenario::run_traced(spec, days, seed).await,
+            Scenario::Traced { days, seed } => {
+                crate::scenario::run_with_config(spec, days, &ScenarioConfig::paper(seed)).await
+            }
         }
     }
 
@@ -487,12 +484,6 @@ impl Home {
         let (upload_secs, upload_report) = upload_task
             .await
             .map_err(|e| HttpError::Malformed(format!("upload task died: {e}")))??;
-
-        // The prefetch transfer may still be settling its books (abort
-        // accounting for duplicate stragglers) when the player has the
-        // last segment: wait for the proxy to go idle so the per-path
-        // byte tallies are complete — free under virtual time.
-        hls.wait_idle().await;
 
         // Gains against the home's ADSL line carrying the same bytes
         // alone (the paper's "power boost" ratio).

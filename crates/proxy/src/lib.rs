@@ -17,11 +17,13 @@
 //!   stands in for the ADSL line and each phone's 3G bearer (the
 //!   substitution for real access links; rates are taken from the same
 //!   location profiles the simulator uses); [`throttle::SharedRateLimit`]
-//!   makes a bucket a shared medium several streams contend for;
+//!   makes a bucket a shared medium several streams contend for, and
+//!   each direction of a stream waits for its tokens in one place;
 //! * [`capacity::CapacitySource`] — the seam between a home and
-//!   whatever provides its 3G: private per-phone rates
-//!   ([`capacity::Isolated`]) or a per-phone share of a shared cell
-//!   ([`capacity::CellProfile`]), folded into the `Copy`
+//!   whatever provides its 3G, implemented by one `Copy` type,
+//!   [`capacity::G3Source`]: private per-phone rates
+//!   ([`capacity::G3Source::Isolated`]) or a per-phone share of a
+//!   shared cell ([`capacity::CellProfile`]), folded into the
 //!   [`home::HomeSpec`] so a whole fleet can couple through shared
 //!   cells without sharing mutable state;
 //! * [`origin::OriginServer`] — serves generated HLS playlists and
@@ -36,7 +38,8 @@
 //!   *same* `threegol-sched` schedulers the simulator uses;
 //! * [`hlsproxy::HlsProxy`] — the local HTTP proxy a stock video
 //!   player points at: playlists are intercepted, segments prefetched
-//!   multipath and served from cache, transparently;
+//!   multipath by one task per playlist and served from one locked
+//!   cache, transparently;
 //! * [`home::Home`] — a household as a first-class unit: its own
 //!   address namespace ([`home::HomeNet`]), discovery domain, shared
 //!   ADSL/Wi-Fi media, and a workload reporting the per-home gain over
@@ -63,7 +66,7 @@ pub mod origin;
 pub mod scenario;
 pub mod throttle;
 
-pub use capacity::{CapacitySource, CellProfile, G3Source, Isolated};
+pub use capacity::{CapacitySource, CellProfile, G3Source};
 pub use client::{PathTarget, ThreegolClient};
 pub use device::DeviceProxy;
 pub use discovery::{Advertisement, Discovery};

@@ -142,7 +142,6 @@ impl OriginServer {
         &self,
         stream: TcpStream,
     ) -> Result<(), threegol_http::HttpError> {
-        stream.set_nodelay(true).ok();
         let mut http = HttpStream::new(stream);
         while let Some(req) = http.read_request().await? {
             let resp = self.handle(&req);

@@ -49,16 +49,6 @@ fn fp(bytes: f64) -> i64 {
     (bytes * SCENARIO_FP_SCALE).round() as i64
 }
 
-/// Entry point for [`crate::Scenario::Traced`]: the paper-flavored
-/// [`ScenarioConfig`] at `seed`.
-pub(crate) async fn run_traced(
-    spec: &HomeSpec,
-    days: u16,
-    seed: u64,
-) -> Result<HomeReport, HttpError> {
-    run_with_config(spec, days, &ScenarioConfig::paper(seed)).await
-}
-
 /// Advance the virtual clock to `offset_secs` past `epoch` (no-op if
 /// already there — day-0 events before the start hour are skipped by
 /// the caller, so offsets are otherwise monotone).
@@ -80,8 +70,11 @@ fn close_device_day(report: &mut HomeReport, device: &DeviceProxy, granted: f64)
     }
 }
 
-/// Run a traced scenario with an explicit config (tests tighten the
-/// churn and allowance knobs; `fleet --scenario` uses the default).
+/// Run a traced scenario with an explicit config.
+/// [`Home::run`](crate::Home::run) runs every
+/// [`crate::Scenario::Traced`] spec through here with
+/// [`ScenarioConfig::paper`]; tests tighten the churn and allowance
+/// knobs.
 pub async fn run_with_config(
     spec: &HomeSpec,
     days: u16,
@@ -224,14 +217,14 @@ mod tests {
 
     use crate::home::{Home, Scenario, Tier};
 
-    fn run_traced_home(spec: HomeSpec) -> HomeReport {
+    fn run_to_report(spec: HomeSpec) -> HomeReport {
         tokio::runtime::block_on(Home::run(&spec)).unwrap()
     }
 
     #[test]
     fn traced_week_runs_and_accounts() {
         let spec = HomeSpec::tier(Tier::Standard).index(5).hour(0).traced(7, 0x3601);
-        let report = run_traced_home(spec);
+        let report = run_to_report(spec);
         assert_eq!(report.days, 7);
         assert_eq!(report.device_days, 14);
         assert!(report.sessions > 0, "a week should schedule sessions");
@@ -251,8 +244,8 @@ mod tests {
     #[test]
     fn traced_runs_are_bitwise_repeatable() {
         let spec = HomeSpec::tier(Tier::Fast).index(11).hour(0).traced(3, 7);
-        let a = run_traced_home(spec);
-        let b = run_traced_home(spec);
+        let a = run_to_report(spec);
+        let b = run_to_report(spec);
         assert_eq!(a, b);
     }
 

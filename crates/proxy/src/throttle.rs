@@ -17,7 +17,7 @@ use std::io::IoSlice;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::{ready, Context, Poll};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -234,6 +234,50 @@ impl ThrottleWait {
     }
 }
 
+/// One direction of a [`ThrottledStream`]: its bucket, its dry-bucket
+/// wait and its scheduling quantum.
+#[derive(Debug)]
+struct Direction {
+    bucket: SharedRateLimit,
+    wait: ThrottleWait,
+    /// Cached [`SharedRateLimit::scheduling_quantum`] — bucket depth
+    /// never changes after construction, so this is computed once
+    /// instead of locking the bucket every poll.
+    quantum: usize,
+}
+
+impl Direction {
+    fn new(bucket: SharedRateLimit) -> Direction {
+        let quantum = bucket.scheduling_quantum();
+        Direction { bucket, wait: ThrottleWait::default(), quantum }
+    }
+
+    /// The direction's one token wait: wait until the bucket covers
+    /// `min(len, quantum)` bytes (at least 1), then return how many of
+    /// the `len` bytes may pass now. The caller moves at most that many
+    /// and then draws what actually moved ([`Direction::draw`]).
+    fn poll_tokens(&mut self, cx: &mut Context<'_>, len: usize) -> Poll<usize> {
+        let want = self.quantum.min(len).max(1);
+        loop {
+            if self.wait.poll_wait(cx).is_pending() {
+                return Poll::Pending;
+            }
+            let available = self.bucket.available();
+            if available >= want {
+                return Poll::Ready(available.min(len));
+            }
+            self.wait.arm(&self.bucket, want);
+        }
+    }
+
+    /// Draw the `moved` bytes that actually passed from the bucket;
+    /// returns `moved`.
+    fn draw(&self, moved: usize) -> usize {
+        self.bucket.consume(moved);
+        moved
+    }
+}
+
 /// A rate-limited wrapper around an async transport. The read and
 /// write buckets are shared handles, so independent streams can be
 /// made to contend for one medium (see [`SharedRateLimit`]); the plain
@@ -241,15 +285,8 @@ impl ThrottleWait {
 #[derive(Debug)]
 pub struct ThrottledStream<T> {
     inner: T,
-    read_bucket: SharedRateLimit,
-    write_bucket: SharedRateLimit,
-    read_wait: ThrottleWait,
-    write_wait: ThrottleWait,
-    /// Cached [`SharedRateLimit::scheduling_quantum`] per direction —
-    /// bucket depth never changes after construction, so these are
-    /// computed once instead of locking the bucket every poll.
-    read_quantum: usize,
-    write_quantum: usize,
+    read: Direction,
+    write: Direction,
 }
 
 impl<T> ThrottledStream<T> {
@@ -264,17 +301,7 @@ impl<T> ThrottledStream<T> {
         read: SharedRateLimit,
         write: SharedRateLimit,
     ) -> ThrottledStream<T> {
-        let read_quantum = read.scheduling_quantum();
-        let write_quantum = write.scheduling_quantum();
-        ThrottledStream {
-            inner,
-            read_bucket: read,
-            write_bucket: write,
-            read_wait: ThrottleWait::default(),
-            write_wait: ThrottleWait::default(),
-            read_quantum,
-            write_quantum,
-        }
+        ThrottledStream { inner, read: Direction::new(read), write: Direction::new(write) }
     }
 }
 
@@ -285,31 +312,17 @@ impl<T: AsyncRead + Unpin> AsyncRead for ThrottledStream<T> {
         buf: &mut ReadBuf<'_>,
     ) -> Poll<std::io::Result<()>> {
         let this = self.get_mut();
-        loop {
-            // Wait out any pending throttle sleep.
-            if this.read_wait.poll_wait(cx).is_pending() {
-                return Poll::Pending;
-            }
-            let available = this.read_bucket.available();
-            if available < this.read_quantum.min(buf.remaining()) {
-                let want = this.read_quantum.min(buf.remaining()).max(1);
-                this.read_wait.arm(&this.read_bucket, want);
-                continue;
-            }
-            let allowed = available.min(buf.remaining());
-            let mut limited = buf.take(allowed);
-            return match Pin::new(&mut this.inner).poll_read(cx, &mut limited) {
-                Poll::Ready(Ok(())) => {
-                    // `take` borrows the same backing buffer, so only
-                    // the original's cursor needs to advance.
-                    let n = limited.filled().len();
-                    buf.advance(n);
-                    this.read_bucket.consume(n);
-                    Poll::Ready(Ok(()))
-                }
-                other => other,
-            };
+        let allowed = ready!(this.read.poll_tokens(cx, buf.remaining()));
+        let mut limited = buf.take(allowed);
+        let polled = Pin::new(&mut this.inner).poll_read(cx, &mut limited);
+        if let Poll::Ready(Ok(())) = polled {
+            // `take` borrows the same backing buffer, so only the
+            // original's cursor needs to advance.
+            let n = limited.filled().len();
+            buf.advance(n);
+            this.read.draw(n);
         }
+        polled
     }
 }
 
@@ -320,25 +333,8 @@ impl<T: AsyncWrite + Unpin> AsyncWrite for ThrottledStream<T> {
         data: &[u8],
     ) -> Poll<std::io::Result<usize>> {
         let this = self.get_mut();
-        loop {
-            if this.write_wait.poll_wait(cx).is_pending() {
-                return Poll::Pending;
-            }
-            let available = this.write_bucket.available();
-            if available < this.write_quantum.min(data.len()).max(1) {
-                let want = this.write_quantum.min(data.len()).max(1);
-                this.write_wait.arm(&this.write_bucket, want);
-                continue;
-            }
-            let allowed = available.min(data.len());
-            return match Pin::new(&mut this.inner).poll_write(cx, &data[..allowed]) {
-                Poll::Ready(Ok(n)) => {
-                    this.write_bucket.consume(n);
-                    Poll::Ready(Ok(n))
-                }
-                other => other,
-            };
-        }
+        let allowed = ready!(this.write.poll_tokens(cx, data.len()));
+        Pin::new(&mut this.inner).poll_write(cx, &data[..allowed]).map_ok(|n| this.write.draw(n))
     }
 
     fn poll_write_vectored(
@@ -351,49 +347,28 @@ impl<T: AsyncWrite + Unpin> AsyncWrite for ThrottledStream<T> {
         if total == 0 {
             return Pin::new(&mut this.inner).poll_write_vectored(cx, bufs);
         }
-        loop {
-            if this.write_wait.poll_wait(cx).is_pending() {
-                return Poll::Pending;
-            }
-            let available = this.write_bucket.available();
-            if available < this.write_quantum.min(total).max(1) {
-                let want = this.write_quantum.min(total).max(1);
-                this.write_wait.arm(&this.write_bucket, want);
-                continue;
-            }
-            let allowed = available.min(total);
-            // Tokens cover the whole gather-write: pass the caller's
-            // slices straight through, allocation-free.
-            if allowed >= total {
-                return match Pin::new(&mut this.inner).poll_write_vectored(cx, bufs) {
-                    Poll::Ready(Ok(n)) => {
-                        this.write_bucket.consume(n);
-                        Poll::Ready(Ok(n))
-                    }
-                    other => other,
-                };
-            }
-            // The token cap applies to the gather-write as a whole:
-            // truncate the slice list at `allowed` bytes so a head+body
-            // pair still drains the bucket at the configured rate.
-            let mut capped: Vec<IoSlice<'_>> = Vec::with_capacity(bufs.len());
-            let mut budget = allowed;
-            for b in bufs {
-                if budget == 0 {
-                    break;
-                }
-                let take = b.len().min(budget);
-                capped.push(IoSlice::new(&b[..take]));
-                budget -= take;
-            }
-            return match Pin::new(&mut this.inner).poll_write_vectored(cx, &capped) {
-                Poll::Ready(Ok(n)) => {
-                    this.write_bucket.consume(n);
-                    Poll::Ready(Ok(n))
-                }
-                other => other,
-            };
+        let allowed = ready!(this.write.poll_tokens(cx, total));
+        // Tokens cover the whole gather-write: pass the caller's
+        // slices straight through, allocation-free.
+        if allowed >= total {
+            return Pin::new(&mut this.inner)
+                .poll_write_vectored(cx, bufs)
+                .map_ok(|n| this.write.draw(n));
         }
+        // The token cap applies to the gather-write as a whole:
+        // truncate the slice list at `allowed` bytes so a head+body
+        // pair still drains the bucket at the configured rate.
+        let mut capped: Vec<IoSlice<'_>> = Vec::with_capacity(bufs.len());
+        let mut budget = allowed;
+        for b in bufs {
+            if budget == 0 {
+                break;
+            }
+            let take = b.len().min(budget);
+            capped.push(IoSlice::new(&b[..take]));
+            budget -= take;
+        }
+        Pin::new(&mut this.inner).poll_write_vectored(cx, &capped).map_ok(|n| this.write.draw(n))
     }
 
     fn poll_flush(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
