@@ -25,7 +25,7 @@ use std::fmt::{Display, Write as _};
 use std::io::IoSlice;
 
 use bytes::{Bytes, BytesMut};
-use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use tokio::io::{read_window, AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
 
 use crate::error::HttpError;
 use crate::headers::Headers;
@@ -326,21 +326,43 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         Ok(head.into_response(body))
     }
 
-    /// Materialize a [`Body`] into contiguous bytes. The storage is
-    /// handed over without copying the payload (only a pipelined
-    /// remnant, if any, is copied back into the read buffer).
+    /// Materialize a [`Body`] into contiguous bytes, allocated once at
+    /// its declared length: the parse remnant is copied in, and the
+    /// rest is read straight into the body. The read buffer stays with
+    /// the stream for the next message.
+    ///
+    /// Each read is offered the window a body-sized read buffer would
+    /// offer, the [`read_window`] of the bytes remaining, so throttled
+    /// reads wait for the same tokens. A final read of fewer bytes than
+    /// that window still offers all of it; it lands in the read buffer,
+    /// and whatever it pulls past the body stays there.
     pub async fn read_body(&mut self, body: Body) -> Result<Bytes, HttpError> {
-        match body {
-            Body::Full(bytes) => Ok(bytes),
-            Body::Stream(BodyFraming::None) => Ok(Bytes::new()),
-            Body::Stream(BodyFraming::Length(len)) => {
-                if len > self.buf.len() {
-                    self.buf.reserve(len - self.buf.len());
-                }
-                self.fill_to(len).await?;
-                Ok(self.buf.freeze_to(len))
+        let len = match body {
+            Body::Full(bytes) => return Ok(bytes),
+            Body::Stream(BodyFraming::None) => return Ok(Bytes::new()),
+            Body::Stream(BodyFraming::Length(len)) => len,
+        };
+        let mut out = BytesMut::with_capacity(len);
+        let have = len.min(self.buf.len());
+        out.extend_from_slice(&self.buf[..have]);
+        self.buf.advance(have);
+        while out.len() < len {
+            let remaining = len - out.len();
+            let window = read_window(remaining);
+            let n = if window <= remaining {
+                self.io.read_buf_window(&mut out, window).await?
+            } else {
+                let n = self.io.read_buf_window(&mut self.buf, window).await?;
+                let k = remaining.min(n);
+                out.extend_from_slice(&self.buf[..k]);
+                self.buf.advance(k);
+                n
+            };
+            if n == 0 {
+                return Err(HttpError::UnexpectedEof);
             }
         }
+        Ok(out.freeze())
     }
 
     /// Drive a [`Body`] into `sink` without materializing it: body
@@ -491,17 +513,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
                 return Err(HttpError::UnexpectedEof);
             }
         }
-    }
-
-    /// Read exactly `n` more bytes into the buffer (beyond current len).
-    async fn fill_to(&mut self, n: usize) -> Result<(), HttpError> {
-        while self.buf.len() < n {
-            let read = self.io.read_buf(&mut self.buf).await?;
-            if read == 0 {
-                return Err(HttpError::UnexpectedEof);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -761,16 +772,21 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn length_body_is_zero_copy_from_read_buffer() {
+    async fn short_final_read_leaves_the_next_message_buffered() {
+        // The head's read carries the first 8 KiB, so the body's last
+        // ~1.8 KB arrive in a short final read, which also pulls in the
+        // whole next response: it must stay in the read buffer.
         let (mut client, server) = tokio::io::duplex(64 * 1024);
-        let payload = vec![5u8; 10_000];
+        let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         let mut msg = b"HTTP/1.1 200 OK\r\nContent-Length: 10000\r\n\r\n".to_vec();
         msg.extend_from_slice(&payload);
+        msg.extend_from_slice(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nnext");
         client.write_all(&msg).await.unwrap();
         drop(client);
         let mut s = HttpStream::new(server);
         let resp = s.read_response().await.unwrap();
         assert_eq!(&resp.body[..], &payload[..]);
+        assert_eq!(&s.read_response().await.unwrap().body[..], b"next");
     }
 
     #[tokio::test]
@@ -794,8 +810,8 @@ mod tests {
 
     #[tokio::test]
     async fn pipelined_messages_survive_body_handoff() {
-        // Two responses written back to back: freezing the first body
-        // must leave the second message's bytes in the buffer.
+        // Two responses written back to back: materializing the first
+        // body must leave the second message's bytes in the buffer.
         let (mut client, server) = tokio::io::duplex(64 * 1024);
         let mut msg = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst".to_vec();
         msg.extend_from_slice(b"HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nsecond");

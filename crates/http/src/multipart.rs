@@ -6,7 +6,7 @@
 //! pictures" (§4.1). The 3GOL uploader builds one multipart POST per
 //! photo and the scheduler spreads the POSTs over the paths.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::error::HttpError;
 use crate::search::find;
@@ -36,29 +36,33 @@ impl Part {
     }
 }
 
-/// Encode parts into a multipart/form-data body with `boundary`.
+/// Encode parts into a multipart/form-data body with `boundary`. The
+/// body is allocated once, at its exact length.
 pub fn encode_multipart(parts: &[Part], boundary: &str) -> Bytes {
-    let mut out = BytesMut::new();
-    for part in parts {
-        out.put_slice(format!("--{boundary}\r\n").as_bytes());
-        match &part.filename {
-            Some(f) => out.put_slice(
-                format!(
-                    "Content-Disposition: form-data; name=\"{}\"; filename=\"{}\"\r\n",
-                    part.name, f
-                )
-                .as_bytes(),
-            ),
-            None => out.put_slice(
-                format!("Content-Disposition: form-data; name=\"{}\"\r\n", part.name).as_bytes(),
-            ),
-        }
-        out.put_slice(format!("Content-Type: {}\r\n\r\n", part.content_type).as_bytes());
-        out.put_slice(&part.data);
-        out.put_slice(b"\r\n");
+    let heads: Vec<String> = parts.iter().map(|part| part_head(part, boundary)).collect();
+    let close = format!("--{boundary}--\r\n");
+    let parts_len: usize =
+        heads.iter().zip(parts).map(|(head, part)| head.len() + part.data.len() + 2).sum();
+    let mut out = BytesMut::with_capacity(parts_len + close.len());
+    for (head, part) in heads.iter().zip(parts) {
+        out.extend_from_slice(head.as_bytes());
+        out.extend_from_slice(&part.data);
+        out.extend_from_slice(b"\r\n");
     }
-    out.put_slice(format!("--{boundary}--\r\n").as_bytes());
+    out.extend_from_slice(close.as_bytes());
     out.freeze()
+}
+
+/// A part's delimiter line and headers, through the blank line.
+fn part_head(part: &Part, boundary: &str) -> String {
+    let filename = match &part.filename {
+        Some(f) => format!("; filename=\"{f}\""),
+        None => String::new(),
+    };
+    format!(
+        "--{boundary}\r\nContent-Disposition: form-data; name=\"{}\"{filename}\r\nContent-Type: {}\r\n\r\n",
+        part.name, part.content_type
+    )
 }
 
 /// The `Content-Type` header value for a multipart body.
@@ -160,6 +164,18 @@ mod tests {
             Part::photo("file2", "b.jpg", Bytes::from_static(b"bbbb")),
         ];
         let body = encode_multipart(&parts, "bnd");
+        assert_eq!(
+            std::str::from_utf8(&body).unwrap(),
+            concat!(
+                "--bnd\r\nContent-Disposition: form-data; name=\"file1\"; filename=\"a.jpg\"\r\n",
+                "Content-Type: image/jpeg\r\n\r\naaa\r\n",
+                "--bnd\r\nContent-Disposition: form-data; name=\"caption\"\r\n",
+                "Content-Type: text/plain\r\n\r\nholiday\r\n",
+                "--bnd\r\nContent-Disposition: form-data; name=\"file2\"; filename=\"b.jpg\"\r\n",
+                "Content-Type: image/jpeg\r\n\r\nbbbb\r\n",
+                "--bnd--\r\n",
+            )
+        );
         let parsed = parse_multipart(&body, "bnd").unwrap();
         assert_eq!(parsed, parts);
     }

@@ -121,46 +121,57 @@ proptest! {
 
     /// The buffered reader, the head+`read_body` pair, and the
     /// head+`pipe_body` pair all recover the exact body bytes no
-    /// matter where the transport fragments the stream.
+    /// matter where the transport fragments the stream, and leave a
+    /// message pipelined right behind the body intact. Bodies run past
+    /// 16 KiB, so `read_body` meets both its direct reads of 8 KiB or
+    /// more into the body and its short final read, which can pull in
+    /// the next message.
     #[test]
     fn all_paths_recover_the_exact_body(
         headers in header_strategy(),
-        body in proptest::collection::vec(any::<u8>(), 0..1500),
-        cuts in proptest::collection::vec(1usize..striped_max(), 1..8),
+        body in proptest::collection::vec(any::<u8>(), 0..20_000),
+        next in proptest::collection::vec(any::<u8>(), 0..64),
+        cuts in proptest::collection::vec(cut_strategy(), 1..8),
     ) {
-        let wire = encode(&headers, &body);
+        let mut wire = encode(&headers, &body);
+        wire.extend_from_slice(&encode(&[], &next));
 
         // Buffered path.
-        let got = tokio::runtime::block_on(async {
+        let (got, second) = tokio::runtime::block_on(async {
             let mut http = HttpStream::new(ChoppedIo::new(wire.clone(), cuts.clone()));
-            http.read_response().await
+            let got = http.read_response().await?;
+            Ok::<_, HttpError>((got, http.read_response().await?))
         }).unwrap();
         prop_assert_eq!(got.status, 200);
         prop_assert_eq!(&got.body[..], &body[..]);
         for (name, value) in &headers {
             prop_assert_eq!(got.headers.get(name), Some(value.as_str()));
         }
+        prop_assert_eq!(&second.body[..], &next[..]);
 
         // Streaming path, materialized.
-        let bytes = tokio::runtime::block_on(async {
+        let (bytes, second) = tokio::runtime::block_on(async {
             let mut http = HttpStream::new(ChoppedIo::new(wire.clone(), cuts.clone()));
             let (head, b) = http.read_response_head().await?;
             assert_eq!(head.status, 200);
             assert!(matches!(b, Body::Stream(BodyFraming::Length(n)) if n == body.len()), "{b:?}");
-            http.read_body(b).await
+            let bytes = http.read_body(b).await?;
+            Ok::<_, HttpError>((bytes, http.read_response().await?))
         }).unwrap();
         prop_assert_eq!(&bytes[..], &body[..]);
+        prop_assert_eq!(&second.body[..], &next[..]);
 
         // Streaming path, piped into a sink.
-        let (piped, count) = tokio::runtime::block_on(async {
+        let (piped, count, second) = tokio::runtime::block_on(async {
             let mut http = HttpStream::new(ChoppedIo::new(wire.clone(), cuts.clone()));
             let (_, b) = http.read_response_head().await?;
             let mut sink: Vec<u8> = Vec::new();
             let n = http.pipe_body(b, &mut sink).await?;
-            Ok::<_, HttpError>((sink, n))
+            Ok::<_, HttpError>((sink, n, http.read_response().await?))
         }).unwrap();
         prop_assert_eq!(&piped[..], &body[..]);
         prop_assert_eq!(count, body.len() as u64);
+        prop_assert_eq!(&second.body[..], &next[..]);
     }
 
     /// A `Transfer-Encoding` header is refused wherever it sits in a
@@ -222,6 +233,19 @@ proptest! {
 /// `\r\n\r\n` and the header lines.
 fn striped_max() -> usize {
     48
+}
+
+/// Scripted read sizes for body tests: mostly [`striped_max`]-bounded
+/// fragments, and one in four up to 32 KiB, so a single read can fill a
+/// whole read window or run from one message into the next.
+fn cut_strategy() -> impl Strategy<Value = usize> {
+    (0usize..4, 1usize..striped_max(), 1usize..32 * 1024).prop_map(|(pick, small, large)| {
+        if pick == 0 {
+            large
+        } else {
+            small
+        }
+    })
 }
 
 /// A GET head exactly `len` bytes long, its blank line included.

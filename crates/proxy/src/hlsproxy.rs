@@ -15,12 +15,12 @@
 //! server changes).
 //!
 //! The proxy keeps one `State` behind one lock — the cache (ready,
-//! pending and served segments) and the bytes each path moved — and
-//! one [`Notify`] that wakes waiting players whenever a prefetch lands
-//! a segment or ends. A prefetch task closes its books in the poll
-//! that lands its last segment, so a player holding every segment
-//! never sees the tallies short and nobody has to wait for the proxy
-//! to go idle.
+//! pending, given-up and served segments) and the bytes each path
+//! moved — and one [`Notify`] that wakes waiting players whenever a
+//! prefetch lands a segment or ends. A prefetch task closes its books
+//! in the poll that lands its last segment, so a player holding every
+//! segment never sees the tallies short and nobody has to wait for the
+//! proxy to go idle.
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -49,6 +49,10 @@ struct State {
     ready: HashMap<Arc<str>, Bytes>,
     /// Targets currently being prefetched.
     pending: HashSet<Arc<str>>,
+    /// Targets whose prefetch ended without landing them: a player
+    /// asking for one gets `502 Bad Gateway` at once, since the
+    /// transfer already retried every path.
+    gave_up: HashSet<Arc<str>>,
     /// Targets already handed to the player and evicted from `ready`
     /// (a VoD player requests each segment once, so holding served
     /// bodies would only grow the cache for the length of the video).
@@ -149,13 +153,14 @@ impl HlsProxy {
         Ok(Response::ok("application/vnd.apple.mpegurl", body))
     }
 
-    /// Begin prefetching every segment of `playlist` not already cached
-    /// or in flight, on one task: it lands each body in the cache as
-    /// its first copy arrives, and when the transfer ends it notes the
-    /// report and clears whatever is still pending, so a waiting player
-    /// falls back to a direct fetch instead of waiting forever. Each
-    /// target string is built exactly once; the pending set, the fetch
-    /// jobs and the landing all share it as an `Arc<str>`.
+    /// Begin prefetching every segment of `playlist` not already cached,
+    /// served or in flight, on one task: it lands each body in the
+    /// cache as its first copy arrives, and when the transfer ends it
+    /// notes the report and moves whatever is still pending to the
+    /// given-up set, so a waiting player hears `502` instead of waiting
+    /// forever. A re-intercepted playlist retries given-up targets.
+    /// Each target string is built exactly once; the pending set, the
+    /// fetch jobs and the landing all share it as an `Arc<str>`.
     fn start_prefetch(&self, playlist_target: &str, playlist: &MediaPlaylist) {
         let fresh: Vec<Arc<str>> = {
             let mut state = self.state.lock();
@@ -165,6 +170,7 @@ impl HlsProxy {
                     && !state.pending.contains(&*t)
                     && !state.served.contains(&*t)
                 {
+                    state.gave_up.remove(&*t);
                     state.pending.insert(Arc::clone(&t));
                     fresh.push(t);
                 }
@@ -194,7 +200,9 @@ impl HlsProxy {
                 s.note(&report);
             }
             for t in &fresh {
-                s.pending.remove(&**t);
+                if s.pending.remove(&**t) {
+                    s.gave_up.insert(Arc::clone(t));
+                }
             }
             drop(s);
             changed.notify_waiters();
@@ -202,7 +210,8 @@ impl HlsProxy {
     }
 
     /// Serve a segment from the prefetch cache, waiting for it to land
-    /// if the prefetch is still in flight; falls back to a direct
+    /// if the prefetch is still in flight; answers `502 Bad Gateway`
+    /// for a target whose prefetch gave up, and falls back to a direct
     /// multipath fetch for never-prefetched targets. Serving evicts
     /// the body from the cache — the `Bytes` handle moves to the
     /// response without copying, and the ready cache stays bounded by
@@ -210,7 +219,7 @@ impl HlsProxy {
     async fn handle_segment(&self, target: &str) -> Result<Response, HttpError> {
         loop {
             let changed = self.changed.notified();
-            let pending = {
+            {
                 let mut state = self.state.lock();
                 // `remove_entry` recovers the interned key so the
                 // served set reuses it instead of re-allocating.
@@ -218,21 +227,23 @@ impl HlsProxy {
                     state.served.insert(key);
                     return Ok(Response::ok("video/mp2t", body));
                 }
-                state.pending.contains(target)
-            };
-            if !pending {
-                // Not part of any intercepted playlist, or its
-                // prefetch gave up: fetch directly.
-                let interned: Arc<str> = Arc::from(target);
-                let (bodies, report) = self.client.fetch(vec![Arc::clone(&interned)]).await?;
-                let mut state = self.state.lock();
-                state.note(&report);
-                state.served.insert(interned);
-                let body = bodies.into_iter().next().expect("one body");
-                return Ok(Response::ok("video/mp2t", body));
+                if state.gave_up.contains(target) {
+                    return Ok(Response::status(502, "Bad Gateway"));
+                }
+                if !state.pending.contains(target) {
+                    break;
+                }
             }
             changed.await;
         }
+        // Not part of any intercepted playlist: fetch directly.
+        let interned: Arc<str> = Arc::from(target);
+        let (bodies, report) = self.client.fetch(vec![Arc::clone(&interned)]).await?;
+        let mut state = self.state.lock();
+        state.note(&report);
+        state.served.insert(interned);
+        let body = bodies.into_iter().next().expect("one body");
+        Ok(Response::ok("video/mp2t", body))
     }
 
     /// Bytes this proxy's transfers moved over device (3G) paths —
@@ -375,13 +386,16 @@ mod tests {
     async fn a_prefetch_that_gives_up_releases_the_waiting_player() {
         // A stub origin whose playlist names a segment it answers with
         // 404, a virtual second late: the player's segment request
-        // waits on the prefetch, which fails for good. Clearing the
-        // leftover pending target hands the player to a direct fetch,
-        // which fails too, and the proxy closes the connection.
+        // waits on the prefetch, which tries every attempt once and
+        // fails for good. The proxy records the target as given up and
+        // answers the waiting player 502 without a direct fetch.
         let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let origin = listener.local_addr().unwrap();
+        let gone_requests = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&gone_requests);
         tokio::spawn(async move {
             while let Ok((stream, _)) = listener.accept().await {
+                let counter = Arc::clone(&counter);
                 tokio::spawn(async move {
                     let mut http = HttpStream::new(stream);
                     while let Ok(Some(req)) = http.read_request().await {
@@ -389,6 +403,8 @@ mod tests {
                             let playlist = "#EXTM3U\n#EXTINF:2.0,\ngone.ts\n#EXT-X-ENDLIST\n";
                             Response::ok("application/vnd.apple.mpegurl", playlist.into())
                         } else {
+                            assert_eq!(req.target, "/v/gone.ts");
+                            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             tokio::time::sleep(std::time::Duration::from_secs(1)).await;
                             Response::not_found()
                         };
@@ -406,10 +422,13 @@ mod tests {
         }]);
         let (addr, _t) = Arc::new(HlsProxy::new(client)).spawn("127.0.0.1:0").await.unwrap();
         assert_eq!(player_get(addr, "/v/index.m3u8").await.status, 200);
-        let mut http = HttpStream::new(TcpStream::connect(addr).await.unwrap());
-        http.write_request(&Request::get("/v/gone.ts")).await.unwrap();
-        let seg = http.read_response().await;
-        assert!(matches!(seg, Err(HttpError::UnexpectedEof)), "{seg:?}");
+        let asked = tokio::time::Instant::now();
+        let seg = player_get(addr, "/v/gone.ts").await;
+        let waited = asked.elapsed();
+        assert_eq!(seg.status, 502);
+        assert_eq!(gone_requests.load(std::sync::atomic::Ordering::Relaxed), 4);
+        // Four 1 s attempts, then the answer: no direct fetch.
+        assert_eq!(waited, std::time::Duration::from_secs(4));
     }
 
     #[tokio::test]
