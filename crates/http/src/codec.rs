@@ -560,6 +560,9 @@ async fn write_all_vectored<W: AsyncWrite + Unpin>(
 
 #[cfg(test)]
 mod tests {
+    use std::pin::Pin;
+    use std::task::{Context, Poll};
+
     use super::*;
 
     #[tokio::test]
@@ -822,5 +825,56 @@ mod tests {
         let b = s.read_response().await.unwrap();
         assert_eq!(&a.body[..], b"first");
         assert_eq!(&b.body[..], b"second");
+    }
+
+    /// A transport whose reads record the window each poll is offered;
+    /// its writes are discarded.
+    struct WindowLog<T> {
+        io: T,
+        windows: Vec<usize>,
+    }
+
+    impl<T: AsyncRead + Unpin> AsyncRead for WindowLog<T> {
+        fn poll_read(
+            mut self: Pin<&mut Self>,
+            cx: &mut Context<'_>,
+            buf: &mut tokio::io::ReadBuf<'_>,
+        ) -> Poll<std::io::Result<()>> {
+            self.windows.push(buf.remaining());
+            Pin::new(&mut self.io).poll_read(cx, buf)
+        }
+    }
+
+    impl<T: Unpin> AsyncWrite for WindowLog<T> {
+        fn poll_write(
+            self: Pin<&mut Self>,
+            _cx: &mut Context<'_>,
+            buf: &[u8],
+        ) -> Poll<std::io::Result<usize>> {
+            Poll::Ready(Ok(buf.len()))
+        }
+        fn poll_flush(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
+            Poll::Ready(Ok(()))
+        }
+        fn poll_shutdown(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
+            Poll::Ready(Ok(()))
+        }
+    }
+
+    #[tokio::test]
+    async fn a_large_body_is_read_through_64_kib_windows() {
+        // The window rule is part of the model (`read_window`): every
+        // read is offered 8 to 64 KiB, and a body with more than 64 KiB
+        // left is read through the full 64 KiB window.
+        let (client, server) = tokio::io::duplex(256 * 1024);
+        let body = Bytes::from((0..200_000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let mut c = HttpStream::new(client);
+        c.write_response(&Response::ok("video/mp2t", body.clone())).await.unwrap();
+        drop(c);
+        let mut s = HttpStream::new(WindowLog { io: server, windows: Vec::new() });
+        assert_eq!(s.read_response().await.unwrap().body, body);
+        let windows = &s.get_mut().windows;
+        assert!(windows.iter().all(|w| (8_192..=65_536).contains(w)), "windows {windows:?}");
+        assert!(windows.contains(&65_536), "windows {windows:?}");
     }
 }

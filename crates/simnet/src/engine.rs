@@ -77,8 +77,8 @@ const SPILLED: u8 = u8::MAX;
 
 /// Per-slot path/cap storage for active flows — the engine-side
 /// [`FlowSet`] the solver consumes directly. Slots stay stable across
-/// unrelated churn and are reused after removal, so rates, components
-/// and flow records can all reference a flow by slot.
+/// unrelated churn and are reused after removal, so rates, per-link flow
+/// lists and flow records can all reference a flow by slot.
 #[derive(Debug, Default)]
 struct SlotPaths {
     /// Per-slot rate cap (`f64::INFINITY` when uncapped).
@@ -119,14 +119,6 @@ impl SlotPaths {
             self.spill[slot].extend(path.iter().map(|l| l.0 as u32));
         }
     }
-
-    /// Drop all slots (used by full rebuilds).
-    fn clear(&mut self) {
-        self.caps.clear();
-        self.lens.clear();
-        self.inline.clear();
-        self.spill.clear();
-    }
 }
 
 impl FlowSet for SlotPaths {
@@ -143,258 +135,113 @@ impl FlowSet for SlotPaths {
     }
 }
 
-/// One connected component of the link-sharing graph: its links and the
-/// flow slots currently assigned to it. Freed components keep their
-/// buffers for reuse.
-#[derive(Debug, Default)]
-struct Comp {
-    flows: Vec<u32>,
-    links: Vec<u32>,
-}
-
-/// Incrementally maintained view of the flow/link topology.
+/// Which flows cross each link, and which links changed since the
+/// last recompute.
 ///
-/// Holds per-link flow-incidence counts (so capacity changes on
-/// flowless links can be skipped without rescanning flows) and the
-/// connected components of the link-sharing graph — max-min fairness
-/// decomposes over components, which is what lets a capacity change or
-/// a flow arrival/departure re-solve only the component it touched.
-///
-/// Every mutation is O(touched component), not O(system): adding a flow
-/// unions the components its path crosses; removing one swap-removes it
-/// from its component. Removals never split components, so after a
-/// merge sustained churn can leave the partition coarser than the true
-/// one — still correct (a union of components also solves exactly),
-/// just less incremental — and a full rebuild re-tightens it once
-/// enough removals accumulate after a merge. Workloads whose flows pin
-/// single links (the 3GOL chunk model) never merge and never rebuild.
+/// Max-min fairness decomposes over the connected components of the
+/// link-sharing graph, so a recompute re-solves only the components it
+/// reaches by walking from each dirty link, through that link's flows,
+/// to their links ([`Topology::walk`]). A new flow marks one of its
+/// links dirty (it joins all of them into one component); a removed
+/// flow marks every link on its path (its departure may split the
+/// component). Walk marks are stamps, so nothing is cleared after a
+/// recompute, and every buffer is persistent.
 #[derive(Debug, Default)]
 struct Topology {
     /// `FlowId` of each slot (stale for free slots).
     flow_ids: Vec<FlowId>,
     /// Paths and caps by slot (the solver's [`FlowSet`]).
     paths: SlotPaths,
-    /// Component of each slot (`u32::MAX` marks a free slot).
-    comp_of_flow: Vec<u32>,
-    /// Index of each slot inside its component's `flows` list.
-    pos_in_comp: Vec<u32>,
     free_slots: Vec<u32>,
-    /// Number of active flows crossing each link.
-    incidence: Vec<u32>,
-    /// Component id of each link.
-    comp_of_link: Vec<u32>,
-    comps: Vec<Comp>,
-    /// Dirty flag per component, plus the drain list feeding
-    /// `recompute_rates` (the flag dedupes pushes).
-    comp_dirty: Vec<bool>,
-    dirty_comps: Vec<u32>,
-    free_comps: Vec<u32>,
-    /// Re-tightening bookkeeping (see type docs).
-    merged_since_rebuild: bool,
-    removals_since_merge: u32,
-    needs_rebuild: bool,
-    /// Union-find parents (rebuild scratch).
-    parent: Vec<u32>,
+    /// Flow slots crossing each link, one entry per occurrence on a
+    /// path. A link is busy while its list is non-empty.
+    link_flows: Vec<Vec<u32>>,
+    /// Links whose components the next recompute re-solves (a link may
+    /// repeat; the walk skips one it has already reached).
+    dirty_links: Vec<u32>,
+    /// The current recompute's stamp; a link or slot is reached when
+    /// its stamp equals it. 64 bits, so the count never wraps.
+    stamp: u64,
+    link_stamp: Vec<u64>,
+    slot_stamp: Vec<u64>,
+    /// The links and flow slots of the component the last walk reached.
+    comp_links: Vec<u32>,
+    comp_flows: Vec<u32>,
 }
 
 impl Topology {
-    /// Union-find root with path halving.
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let grand = parent[parent[x as usize] as usize];
-            parent[x as usize] = grand;
-            x = grand;
-        }
-        x
-    }
-
-    /// Flag `c` for re-solve and enqueue it once.
-    fn mark_comp_dirty(&mut self, c: u32) {
-        if !self.comp_dirty[c as usize] {
-            self.comp_dirty[c as usize] = true;
-            self.dirty_comps.push(c);
-        }
-    }
-
-    /// Flag the component containing `link`.
-    fn mark_link_dirty(&mut self, link: usize) {
-        self.mark_comp_dirty(self.comp_of_link[link]);
-    }
-
-    /// Register a new link as its own singleton component.
+    /// Register a new link, idle.
     fn add_link(&mut self) {
-        let link = self.incidence.len() as u32;
-        self.incidence.push(0);
-        let c = match self.free_comps.pop() {
-            Some(c) => c,
-            None => {
-                self.comps.push(Comp::default());
-                self.comp_dirty.push(false);
-                (self.comps.len() - 1) as u32
-            }
-        };
-        self.comps[c as usize].links.push(link);
-        self.comp_of_link.push(c);
+        self.link_flows.push(Vec::new());
+        self.link_stamp.push(0);
     }
 
-    /// Merge the smaller of components `a`, `b` into the larger;
-    /// returns the survivor.
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        let size = |c: &Comp| c.links.len() + c.flows.len();
-        let (into, from) = if size(&self.comps[a as usize]) >= size(&self.comps[b as usize]) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let moved = std::mem::take(&mut self.comps[from as usize]);
-        for &l in &moved.links {
-            self.comp_of_link[l as usize] = into;
-        }
-        let target = &mut self.comps[into as usize];
-        let base = target.flows.len();
-        target.links.extend_from_slice(&moved.links);
-        target.flows.extend_from_slice(&moved.flows);
-        for (k, &f) in moved.flows.iter().enumerate() {
-            self.comp_of_flow[f as usize] = into;
-            self.pos_in_comp[f as usize] = (base + k) as u32;
-        }
-        // Hand the emptied buffers back for reuse and transfer dirtiness.
-        let mut moved = moved;
-        moved.flows.clear();
-        moved.links.clear();
-        self.comps[from as usize] = moved;
-        if self.comp_dirty[from as usize] {
-            self.comp_dirty[from as usize] = false;
-            self.mark_comp_dirty(into);
-        }
-        self.free_comps.push(from);
-        self.merged_since_rebuild = true;
-        into
+    /// Whether any flow crosses `link`.
+    fn busy(&self, link: usize) -> bool {
+        !self.link_flows[link].is_empty()
     }
 
-    /// Register flow `id` on `path`, returning its slot. Marks the
-    /// (possibly merged) component dirty.
+    /// Register flow `id` on `path`, returning its slot.
     fn add_flow(&mut self, id: FlowId, path: &[LinkId], cap: Option<f64>) -> u32 {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
                 let s = self.flow_ids.len() as u32;
                 self.flow_ids.push(id);
-                self.comp_of_flow.push(0);
-                self.pos_in_comp.push(0);
+                self.slot_stamp.push(0);
                 self.paths.push_slot();
                 s
             }
         };
         self.flow_ids[slot as usize] = id;
         self.paths.set(slot as usize, path, cap);
-        let mut target = self.comp_of_link[path[0].0];
         for l in path {
-            self.incidence[l.0] += 1;
+            self.link_flows[l.0].push(slot);
         }
-        for l in &path[1..] {
-            let other = self.comp_of_link[l.0];
-            if other != target {
-                target = self.merge(target, other);
-            }
-        }
-        let comp = &mut self.comps[target as usize];
-        self.comp_of_flow[slot as usize] = target;
-        self.pos_in_comp[slot as usize] = comp.flows.len() as u32;
-        comp.flows.push(slot);
-        self.mark_comp_dirty(target);
+        self.dirty_links.push(path[0].0 as u32);
         slot
     }
 
-    /// Unregister the flow in `slot` (whose path was `path`) and mark
-    /// its component dirty.
+    /// Unregister the flow in `slot` (whose path was `path`).
     fn remove_flow(&mut self, slot: u32, path: &[LinkId]) {
         for l in path {
-            self.incidence[l.0] -= 1;
+            let flows = &mut self.link_flows[l.0];
+            let pos = flows.iter().position(|&s| s == slot).expect("flow on its link");
+            flows.swap_remove(pos);
+            self.dirty_links.push(l.0 as u32);
         }
-        let c = self.comp_of_flow[slot as usize];
-        let pos = self.pos_in_comp[slot as usize] as usize;
-        let comp = &mut self.comps[c as usize];
-        comp.flows.swap_remove(pos);
-        if let Some(&moved) = comp.flows.get(pos) {
-            self.pos_in_comp[moved as usize] = pos as u32;
-        }
-        self.comp_of_flow[slot as usize] = u32::MAX;
         self.free_slots.push(slot);
-        self.mark_comp_dirty(c);
-        if self.merged_since_rebuild {
-            self.removals_since_merge += 1;
-            if self.removals_since_merge as usize > 64 + 4 * self.incidence.len() {
-                self.needs_rebuild = true;
-            }
-        }
     }
 
-    /// Recompute the exact partition from scratch (into mostly
-    /// persistent buffers), renumbering slots densely and updating each
-    /// flow's stored slot. Only runs to re-tighten coarsened components.
-    fn rebuild(&mut self, n_links: usize, flows: &mut BTreeMap<FlowId, Flow>) {
-        self.flow_ids.clear();
-        self.paths.clear();
-        self.comp_of_flow.clear();
-        self.pos_in_comp.clear();
-        self.free_slots.clear();
-        self.incidence.clear();
-        self.incidence.resize(n_links, 0);
-        self.parent.clear();
-        self.parent.extend(0..n_links as u32);
-        for (id, f) in flows.iter_mut() {
-            let slot = self.flow_ids.len();
-            f.slot = slot as u32;
-            self.flow_ids.push(*id);
-            self.paths.push_slot();
-            self.paths.set(slot, &f.path, f.rate_cap);
-            self.comp_of_flow.push(0);
-            self.pos_in_comp.push(0);
-            let root = Self::find(&mut self.parent, f.path[0].0 as u32);
-            for l in &f.path {
-                self.incidence[l.0] += 1;
-                let r = Self::find(&mut self.parent, l.0 as u32);
-                if r != root {
-                    self.parent[r as usize] = root;
+    /// Collect the component of `start` into `comp_links` and
+    /// `comp_flows`, walking from link to flow to link. Returns `false`
+    /// if an earlier walk of this recompute already reached `start`.
+    fn walk(&mut self, start: u32) -> bool {
+        if self.link_stamp[start as usize] == self.stamp {
+            return false;
+        }
+        self.link_stamp[start as usize] = self.stamp;
+        self.comp_links.clear();
+        self.comp_flows.clear();
+        self.comp_links.push(start);
+        let mut next = 0;
+        while let Some(&l) = self.comp_links.get(next) {
+            next += 1;
+            for &slot in &self.link_flows[l as usize] {
+                if self.slot_stamp[slot as usize] == self.stamp {
+                    continue;
+                }
+                self.slot_stamp[slot as usize] = self.stamp;
+                self.comp_flows.push(slot);
+                for &m in self.paths.links_of(slot as usize) {
+                    if self.link_stamp[m as usize] != self.stamp {
+                        self.link_stamp[m as usize] = self.stamp;
+                        self.comp_links.push(m);
+                    }
                 }
             }
         }
-
-        // Dense component ids: number the roots, then map every link
-        // (flowless links stay singleton components).
-        self.comp_of_link.clear();
-        self.comp_of_link.resize(n_links, 0);
-        let mut n_comps = 0u32;
-        for l in 0..n_links as u32 {
-            if Self::find(&mut self.parent, l) == l {
-                self.comp_of_link[l as usize] = n_comps;
-                n_comps += 1;
-            }
-        }
-        for l in 0..n_links as u32 {
-            let root = Self::find(&mut self.parent, l);
-            self.comp_of_link[l as usize] = self.comp_of_link[root as usize];
-        }
-        self.comps.clear();
-        self.comps.resize_with(n_comps as usize, Comp::default);
-        self.comp_dirty.clear();
-        self.comp_dirty.resize(n_comps as usize, false);
-        self.dirty_comps.clear();
-        self.free_comps.clear();
-        for l in 0..n_links {
-            self.comps[self.comp_of_link[l] as usize].links.push(l as u32);
-        }
-        for slot in 0..self.flow_ids.len() {
-            let c = self.comp_of_link[self.paths.links_of(slot)[0] as usize];
-            self.comp_of_flow[slot] = c;
-            let comp = &mut self.comps[c as usize];
-            self.pos_in_comp[slot] = comp.flows.len() as u32;
-            comp.flows.push(slot as u32);
-        }
-        self.merged_since_rebuild = false;
-        self.removals_since_merge = 0;
-        self.needs_rebuild = false;
+        true
     }
 }
 
@@ -423,11 +270,8 @@ pub struct Simulation {
     wake_seq: u64,
     rates_dirty: bool,
     // --- hot-path state (see DESIGN.md §8) ---
-    /// Incrementally maintained topology (always current).
+    /// Which flows cross each link (always current).
     topo: Topology,
-    /// Re-solve every component at the next recompute (set after a
-    /// topology rebuild, whose renumbering invalidates all rates).
-    all_dirty: bool,
     /// Cached per-link capacity, refreshed per component when that
     /// component is re-solved (clean components keep their values —
     /// exact between their change points, see DESIGN.md §8).
@@ -452,8 +296,8 @@ pub struct Simulation {
     /// with one valid entry per armed link, re-armed when it fires.
     cap_events: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
     /// Per-link arm epoch: bumped whenever queued `cap_events` entries
-    /// must die — the process was replaced, or the link's flow
-    /// incidence crossed zero in either direction.
+    /// must die — the process was replaced, or the link went from idle
+    /// to busy or back.
     cap_epochs: Vec<u32>,
     /// Side stack for due completion entries deferred behind a
     /// same-instant wakeup (the sub-ULP snap gate); drained back into
@@ -489,10 +333,10 @@ impl Simulation {
     /// Replace a link's capacity process (e.g., RRC state promotion).
     pub fn set_capacity_process(&mut self, link: LinkId, process: CapacityProcess) {
         self.links[link.0].process = process;
-        self.topo.mark_link_dirty(link.0);
+        self.topo.dirty_links.push(link.0 as u32);
         self.rates_dirty = true;
         self.cap_epochs[link.0] = self.cap_epochs[link.0].wrapping_add(1);
-        if self.topo.incidence[link.0] > 0 {
+        if self.topo.busy(link.0) {
             if let Some(t) = self.links[link.0].process.next_change(self.now) {
                 self.cap_events.push(Reverse((t, link.0 as u32, self.cap_epochs[link.0])));
             }
@@ -556,7 +400,7 @@ impl Simulation {
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
         for l in &path {
-            if self.topo.incidence[l.0] == 0 {
+            if !self.topo.busy(l.0) {
                 // Idle → active: (re)arm the capacity calendar from now.
                 // Bumping the epoch first kills any stale queued entry —
                 // and makes a duplicated link later in this same path
@@ -610,14 +454,21 @@ impl Simulation {
             None => return Err(SimError::UnknownFlow(id.0)),
         }
         let f = self.flows.remove(&id).expect("checked above");
+        self.unregister(&f);
+        Ok(f)
+    }
+
+    /// Take a completed or cancelled flow out of the topology. A link
+    /// its departure leaves idle drops its queued capacity changes,
+    /// which can no longer affect any rate.
+    fn unregister(&mut self, f: &Flow) {
         self.topo.remove_flow(f.slot, &f.path);
         for l in &f.path {
-            if self.topo.incidence[l.0] == 0 {
+            if !self.topo.busy(l.0) {
                 self.cap_epochs[l.0] = self.cap_epochs[l.0].wrapping_add(1);
             }
         }
         self.rates_dirty = true;
-        Ok(f)
     }
 
     /// Access an active flow, with its progress settled to the current
@@ -672,110 +523,66 @@ impl Simulation {
         self.schedule_wakeup(at, token);
     }
 
-    /// Re-solve the components flagged dirty, refreshing their links'
-    /// capacities at the current time; clean components keep their
-    /// rates. After a rebuild every component is re-solved.
+    /// Re-solve the components the dirty links reach, refreshing their
+    /// links' capacities at the current time; every other component
+    /// keeps its rates and cached capacities.
     ///
-    /// This is the only place rates change, so it is also where all
-    /// lazy state is reconciled: every flow and link of a re-solved
-    /// component is settled to `now` *before* its new rate takes
-    /// effect, and a fresh completion prediction is queued — but only
-    /// if it undercuts the flow's armed calendar entry (the ratchet:
-    /// queued entries are lower bounds, so a *later* prediction just
-    /// lets the old entry surface early and re-arm itself). In steady
-    /// state (capacity changes and wakeups, no flow churn) this path
-    /// performs no heap allocation and almost no heap traffic; churn
-    /// itself is O(touched component).
+    /// Each dirty link not yet reached starts a walk
+    /// ([`Topology::walk`]) that collects exactly its component: the
+    /// link's flows, their links, and so on. This is the only place
+    /// rates change, so it is also where all lazy state is reconciled:
+    /// every flow and link of a re-solved component is settled to `now`
+    /// *before* its new rate takes effect, and a fresh completion
+    /// prediction is queued — but only if it undercuts the flow's armed
+    /// calendar entry (the ratchet: queued entries are lower bounds, so
+    /// a *later* prediction just lets the old entry surface early and
+    /// re-arm itself). In steady state (capacity changes and wakeups, no
+    /// flow churn) this path performs no heap allocation and almost no
+    /// heap traffic; churn itself is O(touched component).
     fn recompute_rates(&mut self) {
-        if self.topo.needs_rebuild {
-            // The rebuild renumbers slots; settle everything first so
-            // the re-solve below starts from exact byte counts.
-            for f in self.flows.values_mut() {
-                f.settle_to(self.now);
-            }
-            self.topo.rebuild(self.links.len(), &mut self.flows);
-            self.all_dirty = true;
-        }
         if self.rates.len() < self.topo.paths.len() {
             self.rates.resize(self.topo.paths.len(), 0.0);
         }
         if self.caps.len() < self.links.len() {
             self.caps.resize(self.links.len(), 0.0);
         }
-
-        if self.all_dirty {
-            for (i, link) in self.links.iter_mut().enumerate() {
+        // A fresh stamp leaves every link and slot unreached.
+        self.topo.stamp += 1;
+        while let Some(start) = self.topo.dirty_links.pop() {
+            if !self.topo.walk(start) {
+                continue;
+            }
+            for &l in &self.topo.comp_links {
+                // Settle under the outgoing aggregate rate before
+                // zeroing it for re-accumulation below.
+                let link = &mut self.links[l as usize];
                 link.settle_to(self.now);
                 link.rate_sum = 0.0;
-                self.caps[i] = link.capacity_at(self.now);
+                self.caps[l as usize] = link.capacity_at(self.now);
             }
-            self.topo.dirty_comps.clear();
-            for c in 0..self.topo.comps.len() {
-                self.topo.comp_dirty[c] = false;
-                if self.topo.comps[c].flows.is_empty() {
-                    continue;
-                }
-                max_min_fair_subset_into(
-                    &self.caps,
-                    &self.topo.paths,
-                    &self.topo.comps[c].flows,
-                    &mut self.scratch,
-                    &mut self.rates,
-                );
+            if self.topo.comp_flows.is_empty() {
+                continue;
             }
-            for (id, f) in self.flows.iter_mut() {
+            max_min_fair_subset_into(
+                &self.caps,
+                &self.topo.paths,
+                &self.topo.comp_flows,
+                &mut self.scratch,
+                &mut self.rates,
+            );
+            for &slot in &self.topo.comp_flows {
+                let id = self.topo.flow_ids[slot as usize];
+                let rate = self.rates[slot as usize];
+                let f = self.flows.get_mut(&id).expect("flow exists");
                 f.settle_to(self.now);
-                f.rate_bps = self.rates[f.slot as usize];
+                f.rate_bps = rate;
                 for l in &f.path {
-                    self.links[l.0].rate_sum += f.rate_bps;
+                    self.links[l.0].rate_sum += rate;
                 }
                 if let Some(t) = f.predicted_completion() {
                     if t < f.armed_at {
                         f.armed_at = t;
                         self.completions.push(Reverse((t, id.0)));
-                    }
-                }
-            }
-            self.all_dirty = false;
-        } else {
-            while let Some(c) = self.topo.dirty_comps.pop() {
-                let c = c as usize;
-                if !self.topo.comp_dirty[c] {
-                    continue; // merged away since it was queued
-                }
-                self.topo.comp_dirty[c] = false;
-                for &l in &self.topo.comps[c].links {
-                    // Settle under the outgoing aggregate rate before
-                    // zeroing it for re-accumulation below.
-                    let link = &mut self.links[l as usize];
-                    link.settle_to(self.now);
-                    link.rate_sum = 0.0;
-                    self.caps[l as usize] = link.capacity_at(self.now);
-                }
-                if self.topo.comps[c].flows.is_empty() {
-                    continue;
-                }
-                max_min_fair_subset_into(
-                    &self.caps,
-                    &self.topo.paths,
-                    &self.topo.comps[c].flows,
-                    &mut self.scratch,
-                    &mut self.rates,
-                );
-                for &slot in &self.topo.comps[c].flows {
-                    let id = self.topo.flow_ids[slot as usize];
-                    let rate = self.rates[slot as usize];
-                    let f = self.flows.get_mut(&id).expect("flow exists");
-                    f.settle_to(self.now);
-                    f.rate_bps = rate;
-                    for l in &f.path {
-                        self.links[l.0].rate_sum += rate;
-                    }
-                    if let Some(t) = f.predicted_completion() {
-                        if t < f.armed_at {
-                            f.armed_at = t;
-                            self.completions.push(Reverse((t, id.0)));
-                        }
                     }
                 }
             }
@@ -800,10 +607,9 @@ impl Simulation {
             });
         }
         if self.cap_events.len() > 64 + 4 * self.links.len() {
-            let epochs = &self.cap_epochs;
-            let incidence = &self.topo.incidence;
+            let (epochs, topo) = (&self.cap_epochs, &self.topo);
             self.cap_events.retain(|Reverse((_, l, epoch))| {
-                epochs[*l as usize] == *epoch && incidence[*l as usize] > 0
+                epochs[*l as usize] == *epoch && topo.busy(*l as usize)
             });
         }
     }
@@ -852,7 +658,7 @@ impl Simulation {
     fn peek_capacity(&mut self) -> SimTime {
         while let Some(&Reverse((t, l, epoch))) = self.cap_events.peek() {
             let l = l as usize;
-            if self.cap_epochs[l] == epoch && self.topo.incidence[l] > 0 {
+            if self.cap_epochs[l] == epoch && self.topo.busy(l) {
                 return t;
             }
             self.cap_events.pop();
@@ -860,8 +666,8 @@ impl Simulation {
         SimTime::FAR_FUTURE
     }
 
-    /// Fire every capacity change due at `t`: mark the affected
-    /// components dirty and re-arm each fired link at its next change
+    /// Fire every capacity change due at `t`: mark the changed links
+    /// dirty and re-arm each fired link at its next change
     /// point (same epoch — only invalidation events bump it).
     fn fire_capacity(&mut self, t: SimTime) {
         while let Some(&Reverse((et, l, epoch))) = self.cap_events.peek() {
@@ -870,10 +676,10 @@ impl Simulation {
             }
             self.cap_events.pop();
             let li = l as usize;
-            if self.cap_epochs[li] != epoch || self.topo.incidence[li] == 0 {
+            if self.cap_epochs[li] != epoch || !self.topo.busy(li) {
                 continue;
             }
-            self.topo.mark_link_dirty(li);
+            self.topo.dirty_links.push(l);
             self.rates_dirty = true;
             if let Some(next) = self.links[li].process.next_change(t) {
                 self.cap_events.push(Reverse((next, l, epoch)));
@@ -894,13 +700,13 @@ impl Simulation {
 
     /// Reference stepper: earliest upcoming capacity change among links
     /// that carry flows, recording the links that change at that
-    /// instant into `cap_candidates` (their components are marked dirty
-    /// if that event actually fires).
+    /// instant into `cap_candidates` (they are marked dirty if that
+    /// event actually fires).
     fn scan_capacity_change(&mut self) -> SimTime {
         self.cap_candidates.clear();
         let mut earliest = SimTime::FAR_FUTURE;
         for (i, link) in self.links.iter().enumerate() {
-            if self.topo.incidence[i] == 0 {
+            if !self.topo.busy(i) {
                 continue;
             }
             if let Some(t) = link.process.next_change(self.now) {
@@ -959,15 +765,7 @@ impl Simulation {
     /// Remove a completed flow from the system and build its event.
     fn retire(&mut self, id: FlowId) -> SimEvent {
         let record = self.flows.remove(&id).expect("retired flow exists");
-        self.topo.remove_flow(record.slot, &record.path);
-        for l in &record.path {
-            if self.topo.incidence[l.0] == 0 {
-                // Last flow left the link: its queued capacity changes
-                // can no longer affect any rate.
-                self.cap_epochs[l.0] = self.cap_epochs[l.0].wrapping_add(1);
-            }
-        }
-        self.rates_dirty = true;
+        self.unregister(&record);
         SimEvent::FlowCompleted { flow: id, record, time: self.now }
     }
 
@@ -1117,13 +915,11 @@ impl Simulation {
             self.now = t_next;
 
             if t_next == t_capacity {
-                // Mark the changed links' components dirty; the
-                // recompute happens lazily at the next query or step,
-                // which also covers a coincident wakeup below.
+                // Mark the changed links dirty; the recompute happens
+                // lazily at the next query or step, which also covers a
+                // coincident wakeup below.
                 if self.reference_scan {
-                    for &l in &self.cap_candidates {
-                        self.topo.mark_link_dirty(l as usize);
-                    }
+                    self.topo.dirty_links.extend_from_slice(&self.cap_candidates);
                     self.rates_dirty = true;
                 } else {
                     self.fire_capacity(t_next);

@@ -75,9 +75,9 @@ fn steady_state_event_loop_allocates_nothing() {
         sim.schedule_wakeup(SimTime::from_secs(20.0 + i as f64), WakeToken(i));
     }
 
-    // Warm-up: grow every persistent buffer (scratch, dirty lists,
-    // candidate lists) to steady size, crossing a run_until boundary
-    // (all-dirty recompute), plenty of capacity events, and several
+    // Warm-up: grow every persistent buffer (scratch, dirty and walk
+    // lists, candidate lists) to steady size, crossing a run_until
+    // boundary, plenty of capacity events, and several
     // wakeups coinciding with capacity changes (that pattern defers a
     // recompute and lets dirty-link commits accumulate, so it sets the
     // high-water mark of the dirty list).

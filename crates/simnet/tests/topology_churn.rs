@@ -1,11 +1,13 @@
-//! Regression tests for incremental topology maintenance under flow
-//! churn: multi-link flows merging components, removals leaving a
-//! coarsened (but still correct) partition, and the periodic rebuild
-//! that re-tightens it — all checked against the reference
-//! `max_min_fair` oracle on the live flow set.
+//! Regression tests for the engine's per-link flow lists under flow
+//! churn: multi-link flows joining components, removals splitting them
+//! again, and slot reuse — checked against the reference `max_min_fair`
+//! oracle on the live flow set — plus the guarantee that a recompute
+//! re-solves only what it reaches from the links that changed.
 
 use threegol_simnet::fairshare::{max_min_fair, FlowDemand};
-use threegol_simnet::{CapacityProcess, LinkId, Simulation};
+use threegol_simnet::{
+    CapacityProcess, DiurnalProfile, LinkId, SimEvent, SimTime, Simulation, WakeToken,
+};
 
 /// Ask the oracle for the aggregate rate on `link` given the current
 /// flow population (paths tracked by the test).
@@ -16,8 +18,7 @@ fn oracle_link_rate(caps: &[f64], demands: &[FlowDemand], link: usize) -> f64 {
 
 /// A multi-link flow bridges two previously independent components;
 /// rates must re-split jointly, and removing the bridge must restore
-/// the original (independent) rates even though the engine is allowed
-/// to keep the coarsened partition.
+/// the original (independent) rates.
 #[test]
 fn bridge_flow_merges_and_unmerges_components() {
     let mut sim = Simulation::new();
@@ -43,12 +44,11 @@ fn bridge_flow_merges_and_unmerges_components() {
     assert!((sim.link_rate(b) - 6e6).abs() < 1.0);
 }
 
-/// Sustained churn of merging flows: enough removals after merges to
-/// cross the rebuild threshold, with every intermediate state checked
-/// against the oracle. Exercises slot reuse, component coarsening, and
-/// the full rebuild (which renumbers every live flow's slot).
+/// Sustained churn of bridging flows, with every intermediate state
+/// checked against the oracle. Exercises slot reuse and components that
+/// join when a bridge starts and split when it leaves.
 #[test]
-fn churn_with_rebuild_matches_oracle() {
+fn bridge_churn_matches_oracle() {
     let mut sim = Simulation::new();
     let n_links = 6;
     let caps: Vec<f64> = (0..n_links).map(|i| 1e6 * (i + 1) as f64).collect();
@@ -59,17 +59,15 @@ fn churn_with_rebuild_matches_oracle() {
         .collect();
 
     // Long-lived background flows, one per link, that persist across
-    // every rebuild.
+    // every round.
     let mut demands = Vec::new();
     for &l in &links {
         sim.start_flow(vec![l], 1e12);
         demands.push(FlowDemand { links: vec![l.index()], cap: None });
     }
 
-    // Repeatedly add a two-link bridge (merging two components) and
-    // remove it again. Each removal after a merge counts toward the
-    // rebuild threshold (64 + 4 * n_links), so ~200 rounds is certain
-    // to cross it at least once.
+    // Repeatedly add a two-link bridge (joining two components) and
+    // remove it again (splitting them).
     let mut x: u64 = 9;
     for round in 0..200 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(round);
@@ -98,15 +96,15 @@ fn churn_with_rebuild_matches_oracle() {
     }
 }
 
-/// Capped flows keep their caps across slot reuse and rebuilds.
+/// Capped flows keep their caps across churn and slot reuse.
 #[test]
-fn rate_caps_survive_churn_and_rebuild() {
+fn rate_caps_survive_churn() {
     let mut sim = Simulation::new();
     let l = sim.add_link("l", CapacityProcess::constant(10e6));
     let m = sim.add_link("m", CapacityProcess::constant(10e6));
     let capped = sim.start_capped_flow(vec![l], 1e12, 1e6);
 
-    // Churn merging flows past the rebuild threshold.
+    // Churn bridging flows through the slots next to the capped one.
     for _ in 0..300 {
         let b = sim.start_flow(vec![l, m], 1e12);
         sim.cancel_flow(b).expect("cancel");
@@ -119,8 +117,8 @@ fn rate_caps_survive_churn_and_rebuild() {
 }
 
 /// Paths longer than the inline limit (4 links) spill to the heap at
-/// start time but still solve correctly, merge all their components,
-/// and survive a rebuild.
+/// start time but still solve correctly, join all their links into one
+/// component, and survive churn through it.
 #[test]
 fn long_paths_spill_and_solve() {
     let mut sim = Simulation::new();
@@ -133,11 +131,70 @@ fn long_paths_spill_and_solve() {
         assert!((sim.link_rate(l) - 2e6).abs() < 1.0);
     }
     assert!((sim.flow(f).expect("active").rate_bps - 2e6).abs() < 1.0);
-    // Force a rebuild under it, then re-check.
+    // Churn bridges across its end links, then re-check.
     for _ in 0..400 {
         let b = sim.start_flow(vec![links[0], links[5]], 1e12);
         sim.cancel_flow(b).expect("cancel");
     }
     assert!((sim.link_rate(links[0]) - 2e6).abs() < 1.0);
     assert!((sim.flow(f).expect("active").rate_bps - 2e6).abs() < 1.0);
+}
+
+/// Run a flow on link B (capacity drifting along a diurnal ramp, never
+/// firing a change point) past a bridge over `[A, B]` that is cancelled
+/// at 10 s; with `events_on_a`, A then sees a flow start, a capacity drop
+/// and that flow's completion. Returns B's flow's completion instant.
+fn b_completion(events_on_a: bool) -> SimTime {
+    let mut sim = Simulation::new();
+    let a = sim.add_link(
+        "a",
+        CapacityProcess::piecewise(vec![(SimTime::ZERO, 8e6), (SimTime::from_secs(30.0), 2e6)]),
+    );
+    // No noise, and one resampling step longer than the run: B's
+    // capacity drifts between hour marks but never changes by an event.
+    let mut ramp = [1.0; 24];
+    ramp[1] = 0.5;
+    let b =
+        sim.add_link("b", CapacityProcess::stochastic(1e6, 0.0, 1e6, DiurnalProfile::new(ramp), 7));
+    let on_b = sim.start_flow(vec![b], 30e6);
+    let bridge = sim.start_flow(vec![a, b], 1e12);
+    sim.schedule_wakeup(SimTime::from_secs(10.0), WakeToken(0));
+    if events_on_a {
+        sim.schedule_wakeup(SimTime::from_secs(20.0), WakeToken(1));
+    }
+    let mut a_done = false;
+    while let Some(ev) = sim.next_event() {
+        match ev {
+            SimEvent::Wakeup { token: WakeToken(0), .. } => {
+                sim.cancel_flow(bridge).expect("bridge active");
+            }
+            // 10 MB at 8 Mbit/s until the drop at 30 s, then 1 MB at
+            // 2 Mbit/s: done at 34 s.
+            SimEvent::Wakeup { .. } => {
+                sim.start_flow(vec![a], 11e6);
+            }
+            SimEvent::FlowCompleted { flow, time, .. } if flow == on_b => {
+                assert_eq!(a_done, events_on_a, "A's flow completes first");
+                return time;
+            }
+            SimEvent::FlowCompleted { time, .. } => {
+                assert!((time.secs() - 34.0).abs() < 1e-9, "A's flow done at {time}");
+                a_done = true;
+            }
+        }
+    }
+    panic!("B's flow never completed");
+}
+
+/// Once a bridge has left, events on one side re-solve only that side:
+/// B's flow completes at the bitwise-same instant whether or not A sees
+/// any events afterwards. (A partition that stays joined after the
+/// bridge leaves re-solves B at each of A's events, re-reads its drifted
+/// capacity, and moves the completion by 0.73 s.)
+#[test]
+fn a_departed_bridge_leaves_no_history() {
+    let quiet = b_completion(false);
+    let busy = b_completion(true);
+    assert!(quiet.secs() > 200.0, "B's flow outlives A's events: {quiet}");
+    assert_eq!(busy.to_bits(), quiet.to_bits(), "A's events moved B: {busy} vs {quiet}");
 }
