@@ -198,6 +198,15 @@ fn home_traffic_is_entirely_virtual() {
     // and one beacon per phone before the home's one session.
     assert_eq!(stats.udp_binds, 1 + devices, "{stats:?}");
     assert_eq!(stats.datagrams, devices, "{stats:?}");
+    // Pipe bytes, by how they moved. Bodies enter by reference (origin
+    // segments, HLS-proxy cache hits, photo POSTs) and leave by
+    // reference through the phones' relays and the player's sink; only
+    // heads, the bytes a head read takes past its head, and the bodies
+    // a reader materializes are copied. A transport on that path that
+    // falls back to copying moves these counts.
+    let moved =
+        [stats.pipe_copied_in, stats.pipe_shared_in, stats.pipe_copied_out, stats.pipe_shared_out];
+    assert_eq!(moved, [51_825, 2_034_683, 1_048_896, 1_011_271], "{stats:?}");
 }
 
 #[test]

@@ -386,6 +386,19 @@ impl<T: AsyncRead + Unpin> AsyncRead for CountingStream<T> {
         }
         res
     }
+
+    fn poll_read_shared(
+        mut self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> Poll<std::io::Result<usize>> {
+        let res = Pin::new(&mut self.inner).poll_read_shared(cx, max, out);
+        if let Poll::Ready(Ok(n)) = res {
+            self.counter.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        res
+    }
 }
 
 impl<T: AsyncWrite + Unpin> AsyncWrite for CountingStream<T> {
@@ -400,12 +413,13 @@ impl<T: AsyncWrite + Unpin> AsyncWrite for CountingStream<T> {
         }
         res
     }
-    fn poll_write_vectored(
+    fn poll_write_shared(
         mut self: Pin<&mut Self>,
         cx: &mut Context<'_>,
-        bufs: &[std::io::IoSlice<'_>],
+        head: &[u8],
+        body: &Bytes,
     ) -> Poll<std::io::Result<usize>> {
-        let res = Pin::new(&mut self.inner).poll_write_vectored(cx, bufs);
+        let res = Pin::new(&mut self.inner).poll_write_shared(cx, head, body);
         if let Poll::Ready(Ok(n)) = res {
             self.counter.fetch_add(n as u64, Ordering::Relaxed);
         }

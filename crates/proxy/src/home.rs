@@ -666,7 +666,8 @@ pub(crate) fn photo_body(i: usize, photo_bytes: usize) -> Bytes {
 /// Play the prebuffer phase of a VoD session against the home's HLS
 /// proxy: fetch the media playlist, then every segment in order (the
 /// proxy serves them from its multipath prefetch as they land).
-/// Returns the total segment bytes received.
+/// Returns the total segment bytes received. The player only counts a
+/// segment, so its body is piped into a sink instead of materialized.
 async fn prebuffer_vod(proxy_addr: SocketAddr, playlist: &str) -> Result<f64, HttpError> {
     let stream = TcpStream::connect(proxy_addr).await.map_err(HttpError::Io)?;
     let mut http = HttpStream::new(stream);
@@ -674,11 +675,12 @@ async fn prebuffer_vod(proxy_addr: SocketAddr, playlist: &str) -> Result<f64, Ht
     let mut bytes = 0.0;
     for target in segment_targets(playlist, &media) {
         http.write_request(&Request::get(&*target)).await?;
-        let seg = http.read_response().await?;
-        if seg.status != 200 {
-            return Err(HttpError::Malformed(format!("segment fetch failed: {}", seg.status)));
+        let (head, body) = http.read_response_head().await?;
+        let len = http.pipe_body(body, &mut tokio::io::sink()).await?;
+        if head.status != 200 {
+            return Err(HttpError::Malformed(format!("segment fetch failed: {}", head.status)));
         }
-        bytes += seg.body.len() as f64;
+        bytes += len as f64;
     }
     Ok(bytes)
 }

@@ -13,13 +13,13 @@
 //! way they would on the real link.
 
 use std::future::Future;
-use std::io::IoSlice;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{ready, Context, Poll};
 use std::time::Duration;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
 use tokio::time::{sleep_until, Instant, Sleep};
@@ -34,7 +34,7 @@ pub struct RateLimit {
 }
 
 impl RateLimit {
-    /// A limit with a default burst of 64 KiB or 50 ms of data,
+    /// A limit with a default burst of 16 KiB or 50 ms of data,
     /// whichever is larger.
     pub fn new(rate_bps: f64) -> RateLimit {
         assert!(rate_bps > 0.0);
@@ -324,6 +324,20 @@ impl<T: AsyncRead + Unpin> AsyncRead for ThrottledStream<T> {
         }
         polled
     }
+
+    /// The same token wait as [`poll_read`](Self::poll_read) for a
+    /// `max`-byte read, then a shared read capped at what the tokens
+    /// allow.
+    fn poll_read_shared(
+        self: Pin<&mut Self>,
+        cx: &mut Context<'_>,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> Poll<std::io::Result<usize>> {
+        let this = self.get_mut();
+        let allowed = ready!(this.read.poll_tokens(cx, max));
+        Pin::new(&mut this.inner).poll_read_shared(cx, allowed, out).map_ok(|n| this.read.draw(n))
+    }
 }
 
 impl<T: AsyncWrite + Unpin> AsyncWrite for ThrottledStream<T> {
@@ -337,38 +351,31 @@ impl<T: AsyncWrite + Unpin> AsyncWrite for ThrottledStream<T> {
         Pin::new(&mut this.inner).poll_write(cx, &data[..allowed]).map_ok(|n| this.write.draw(n))
     }
 
-    fn poll_write_vectored(
+    /// One token wait for the whole gather-write, capped as a whole:
+    /// when the tokens cover less than `head` + `body`, the write takes
+    /// the head first and then a view of the body's front, so a head +
+    /// body pair drains the bucket at the configured rate.
+    fn poll_write_shared(
         self: Pin<&mut Self>,
         cx: &mut Context<'_>,
-        bufs: &[IoSlice<'_>],
+        head: &[u8],
+        body: &Bytes,
     ) -> Poll<std::io::Result<usize>> {
         let this = self.get_mut();
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
+        let total = head.len() + body.len();
         if total == 0 {
-            return Pin::new(&mut this.inner).poll_write_vectored(cx, bufs);
+            return Pin::new(&mut this.inner).poll_write_shared(cx, head, body);
         }
         let allowed = ready!(this.write.poll_tokens(cx, total));
-        // Tokens cover the whole gather-write: pass the caller's
-        // slices straight through, allocation-free.
-        if allowed >= total {
-            return Pin::new(&mut this.inner)
-                .poll_write_vectored(cx, bufs)
-                .map_ok(|n| this.write.draw(n));
-        }
-        // The token cap applies to the gather-write as a whole:
-        // truncate the slice list at `allowed` bytes so a head+body
-        // pair still drains the bucket at the configured rate.
-        let mut capped: Vec<IoSlice<'_>> = Vec::with_capacity(bufs.len());
-        let mut budget = allowed;
-        for b in bufs {
-            if budget == 0 {
-                break;
-            }
-            let take = b.len().min(budget);
-            capped.push(IoSlice::new(&b[..take]));
-            budget -= take;
-        }
-        Pin::new(&mut this.inner).poll_write_vectored(cx, &capped).map_ok(|n| this.write.draw(n))
+        let head = &head[..allowed.min(head.len())];
+        let capped;
+        let body = if allowed >= total {
+            body
+        } else {
+            capped = body.slice(..allowed - head.len());
+            &capped
+        };
+        Pin::new(&mut this.inner).poll_write_shared(cx, head, body).map_ok(|n| this.write.draw(n))
     }
 
     fn poll_flush(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
