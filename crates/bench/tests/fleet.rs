@@ -199,14 +199,14 @@ fn home_traffic_is_entirely_virtual() {
     assert_eq!(stats.udp_binds, 1 + devices, "{stats:?}");
     assert_eq!(stats.datagrams, devices, "{stats:?}");
     // Pipe bytes, by how they moved. Bodies enter by reference (origin
-    // segments, HLS-proxy cache hits, photo POSTs) and leave by
-    // reference through the phones' relays and the player's sink; only
-    // heads, the bytes a head read takes past its head, and the bodies
-    // a reader materializes are copied. A transport on that path that
-    // falls back to copying moves these counts.
+    // segments, HLS-proxy cache hits, photo POSTs), cross the phones'
+    // relays by reference and are read by reference, by the player's
+    // sink and by every reader that holds them; only heads are copied,
+    // in and out. A transport on that path that falls back to copying
+    // moves these counts.
     let moved =
         [stats.pipe_copied_in, stats.pipe_shared_in, stats.pipe_copied_out, stats.pipe_shared_out];
-    assert_eq!(moved, [51_825, 2_034_683, 1_048_896, 1_011_271], "{stats:?}");
+    assert_eq!(moved, [2_965, 2_083_543, 2_965, 2_057_202], "{stats:?}");
 }
 
 #[test]

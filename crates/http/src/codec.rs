@@ -18,22 +18,26 @@
 //! or to pipe it straight into a downstream writer
 //! ([`HttpStream::pipe_body`]) without ever buffering the whole
 //! payload — the relay path the device proxy uses. Any bytes read past
-//! the head (the parse remnant) stay in the stream buffer and are
-//! consumed first by either driver.
+//! the head (the parse remnant) stay with the stream and are consumed
+//! first by either driver.
 //!
-//! Bodies travel by reference: a message's body leaves
+//! Bodies travel and are read by reference. A message's body leaves
 //! [`HttpStream::write_request`]/[`HttpStream::write_response`] as a
-//! view of its `Bytes` ([`AsyncWrite::poll_write_shared`]), and
-//! `pipe_body` forwards the views it reads
-//! ([`AsyncRead::poll_read_shared`]). So over the virtual net a body is
-//! copied once, by the `read_body` of the reader that needs it
-//! contiguous.
+//! view of its `Bytes` ([`AsyncWrite::poll_write_shared`]), and every
+//! read keeps the views it is handed
+//! ([`AsyncRead::poll_read_shared`]): only copied bytes, the heads,
+//! land in the read buffer, and the unread input is that buffer
+//! followed by a list of views. `pipe_body` forwards the views, and
+//! `read_body` joins adjacent views of one buffer into the body. So
+//! over the virtual net a body written by reference reaches its reader
+//! without a copy; a body that arrives in any other pieces is copied
+//! once, into one buffer of its declared length.
 
 use std::fmt::{Display, Write as _};
 use std::pin::Pin;
 
 use bytes::{Bytes, BytesMut};
-use tokio::io::{read_window, AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use tokio::io::{read_window, AsyncRead, AsyncWrite, AsyncWriteExt};
 
 use crate::error::HttpError;
 use crate::headers::Headers;
@@ -220,18 +224,26 @@ fn body_framing(headers: &Headers) -> Result<BodyFraming, HttpError> {
 }
 
 /// A buffered HTTP connection over any async transport.
+///
+/// Its unread input is the read buffer followed by the view list.
+/// Every read is a shared read that lands its leading copied bytes in
+/// the buffer and pushes the rest onto the list, so a head is parsed in
+/// the buffer and a body written by reference stays a view. Each read
+/// is offered the window a read into the buffer would be
+/// ([`read_window`]), so throttled reads wait for the same tokens
+/// whether their bytes are copied or shared.
 #[derive(Debug)]
 pub struct HttpStream<T> {
     io: T,
-    /// Read buffer; bytes past a parsed head (the remnant) stay here
-    /// and are consumed first by the body drivers.
+    /// Read buffer: the unread input's copied bytes. A head is parsed
+    /// here, and the bytes past it (the remnant) are consumed first by
+    /// the body drivers.
     buf: BytesMut,
     /// Reused head-serialization buffer: heads of sequential messages
     /// on a kept-alive connection share one allocation.
     head_buf: BytesMut,
-    /// Reused list of the views one shared read in
-    /// [`pipe_body`](Self::pipe_body) returns, so a relayed message
-    /// allocates none.
+    /// The unread input's views, which follow `buf`: what reads handed
+    /// out by reference. Reused, so a message allocates no list.
     views: Vec<Bytes>,
 }
 
@@ -346,55 +358,86 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
         Ok(head.into_response(body))
     }
 
-    /// Materialize a [`Body`] into contiguous bytes, allocated once at
-    /// its declared length: the parse remnant is copied in, and the
-    /// rest is read straight into the body. The read buffer stays with
-    /// the stream for the next message.
+    /// Materialize a [`Body`] into contiguous bytes: the parse remnant
+    /// first (the read buffer's bytes, then the views), then reads.
+    /// While every piece continues the last in one buffer, the pieces
+    /// join into one view of it ([`Bytes::try_join`]), so a body
+    /// written by reference comes back as a view of its writer's
+    /// buffer, with no copy and no allocation. Any other piece falls
+    /// back to one buffer allocated at the declared length, which
+    /// copies what was joined so far. The read buffer stays with the
+    /// stream for the next message.
     ///
     /// Each read is offered the window a body-sized read buffer would
     /// offer, the [`read_window`] of the bytes remaining, so throttled
-    /// reads wait for the same tokens. A final read of fewer bytes than
-    /// that window still offers all of it; it lands in the read buffer,
-    /// and whatever it pulls past the body stays there.
+    /// reads wait for the same tokens. A read of that whole window
+    /// lands its copied bytes in a scratch vector, or straight in the
+    /// fallback buffer once there is one, never in the read buffer,
+    /// whose capacity steers later windows. A final read of fewer
+    /// bytes than its window reserves the window in the read buffer, as
+    /// a read into it would, and whatever it pulls past the body stays
+    /// unread.
     pub async fn read_body(&mut self, body: Body) -> Result<Bytes, HttpError> {
         let len = match body {
             Body::Full(bytes) => return Ok(bytes),
             Body::Stream(BodyFraming::None) => return Ok(Bytes::new()),
             Body::Stream(BodyFraming::Length(len)) => len,
         };
-        let mut out = BytesMut::with_capacity(len);
-        let have = len.min(self.buf.len());
-        out.extend_from_slice(&self.buf[..have]);
-        self.buf.advance(have);
-        while out.len() < len {
-            let remaining = len - out.len();
+        let mut got = Assembly::Joined(Bytes::new());
+        self.take_unread(&mut got, len);
+        let mut scratch = Vec::new();
+        while got.len() < len {
+            let remaining = len - got.len();
             let window = read_window(remaining);
             let n = if window <= remaining {
-                self.io.read_buf_window(&mut out, window).await?
-            } else {
-                let n = self.io.read_buf_window(&mut self.buf, window).await?;
-                let k = remaining.min(n);
-                out.extend_from_slice(&self.buf[..k]);
-                self.buf.advance(k);
+                let copied = match &mut got {
+                    Assembly::Copied(out) => out.storage_mut(),
+                    Assembly::Joined(_) => &mut scratch,
+                };
+                let n = read_shared(&mut self.io, window, copied, &mut self.views).await?;
+                got.push_copied(&scratch, len);
+                scratch.clear();
                 n
+            } else {
+                self.read_into_buf(window).await?
             };
+            self.take_unread(&mut got, len);
             if n == 0 {
                 return Err(HttpError::UnexpectedEof);
             }
         }
-        Ok(out.freeze())
+        Ok(got.into_bytes())
     }
 
-    /// Drive a [`Body`] into `sink` without materializing it: the parse
-    /// remnant is written first, by copy, and then each shared read's
-    /// views are forwarded by reference as they arrive, so the window
-    /// is bounded by one read (never the whole body). Returns the
-    /// number of bytes forwarded. The sink is not flushed.
+    /// Move unread bytes into `body` until it holds `len` bytes, the
+    /// read buffer's first and then the views; what the views hold past
+    /// the body lands in the read buffer, unread.
+    fn take_unread(&mut self, body: &mut Assembly, len: usize) {
+        let k = (len - body.len()).min(self.buf.len());
+        body.push_copied(&self.buf[..k], len);
+        self.buf.advance(k);
+        for mut view in self.views.drain(..) {
+            let k = (len - body.len()).min(view.len());
+            if k < view.len() {
+                self.buf.extend_from_slice(&view[k..]);
+                view = view.slice(..k);
+            }
+            body.push_view(view, len);
+        }
+    }
+
+    /// Drive a [`Body`] into `sink` without materializing it: unread
+    /// bytes are forwarded as they came, the read buffer's by copy and
+    /// the views by reference, the parse remnant first and then each
+    /// read's, so the window is bounded by one read (never the whole
+    /// body). Returns the number of bytes forwarded. The sink is not
+    /// flushed.
     ///
     /// Each read is offered the [`read_window`] of the read buffer's
-    /// spare capacity, which is reserved as if the read landed there,
-    /// so throttled reads wait for the same tokens as a read into the
-    /// buffer; bytes a read takes past the body land in the buffer.
+    /// spare capacity, which is reserved as the read's copied bytes
+    /// land there, so throttled reads wait for the same tokens as a
+    /// read into the buffer; bytes a read takes past the body stay
+    /// unread.
     pub async fn pipe_body<W: AsyncWrite + Unpin>(
         &mut self,
         body: Body,
@@ -408,29 +451,29 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
             Body::Stream(BodyFraming::None) => 0,
             Body::Stream(BodyFraming::Length(len)) => len,
         };
-        let have = len.min(self.buf.len());
-        sink.write_all(&self.buf[..have]).await?;
-        self.buf.advance(have);
-        let mut remaining = len - have;
-        while remaining > 0 {
-            let window = read_window(self.buf.spare_capacity());
-            self.buf.reserve(window);
-            let (io, views) = (&mut self.io, &mut self.views);
-            let n =
-                std::future::poll_fn(|cx| Pin::new(&mut *io).poll_read_shared(cx, window, views))
-                    .await?;
-            if n == 0 {
-                return Err(HttpError::UnexpectedEof);
-            }
+        let mut remaining = len;
+        loop {
+            let k = remaining.min(self.buf.len());
+            sink.write_all(&self.buf[..k]).await?;
+            self.buf.advance(k);
+            remaining -= k;
             for mut view in self.views.drain(..) {
                 let k = remaining.min(view.len());
-                let past = view.split_off(k);
-                self.buf.extend_from_slice(&past);
+                if k < view.len() {
+                    self.buf.extend_from_slice(&view[k..]);
+                    view = view.slice(..k);
+                }
                 write_all_shared(sink, &[], &view).await?;
                 remaining -= k;
             }
+            if remaining == 0 {
+                return Ok(len as u64);
+            }
+            let window = read_window(self.buf.spare_capacity());
+            if self.read_into_buf(window).await? == 0 {
+                return Err(HttpError::UnexpectedEof);
+            }
         }
-        Ok(len as u64)
     }
 
     /// Serialize and send a request (Content-Length is set from the
@@ -522,10 +565,16 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
 
     /// Fill the buffer until a complete header block is present.
     /// Returns the offset just past `\r\n\r\n`, or `None` on clean EOF
-    /// with an empty buffer. A head longer than [`MAX_HEADER_BYTES`] is
+    /// with no unread byte. A head longer than [`MAX_HEADER_BYTES`] is
     /// refused wherever the transport splits it. Each pass scans only
     /// the new bytes plus a 3-byte overlap, so a large head is examined
     /// once, not O(n²).
+    ///
+    /// A head is written by copy, so it lands in the buffer and the
+    /// views after it stay listed. When the buffer holds no blank line
+    /// but views are listed (a head written by reference, or the views
+    /// a body nobody consumed left), they are copied in whole, as a
+    /// plain read would have left them, before anything more is read.
     async fn fill_until_headers(&mut self) -> Result<Option<usize>, HttpError> {
         let mut scanned = 0;
         loop {
@@ -535,17 +584,93 @@ impl<T: AsyncRead + AsyncWrite + Unpin> HttpStream<T> {
                 }
                 return Ok(Some(pos + 4));
             }
-            if self.buf.len() >= MAX_HEADER_BYTES {
+            scanned = self.buf.len();
+            if !self.views.is_empty() {
+                for view in self.views.drain(..) {
+                    self.buf.extend_from_slice(&view);
+                }
+                continue;
+            }
+            if scanned >= MAX_HEADER_BYTES {
                 return Err(HttpError::HeadersTooLarge);
             }
-            scanned = self.buf.len();
-            let n = self.io.read_buf(&mut self.buf).await?;
+            let n = self.read_into_buf(read_window(self.buf.spare_capacity())).await?;
             if n == 0 {
                 if self.buf.is_empty() {
                     return Ok(None);
                 }
                 return Err(HttpError::UnexpectedEof);
             }
+        }
+    }
+
+    /// One read of at most `window` bytes into the read buffer, which
+    /// first reserves room for the whole window (growing as
+    /// `Vec::reserve` does): its copied bytes land in the buffer's spare
+    /// capacity, and its views join the list. Returns how many bytes
+    /// were read, zero at EOF.
+    async fn read_into_buf(&mut self, window: usize) -> std::io::Result<usize> {
+        self.buf.reserve(window);
+        read_shared(&mut self.io, window, self.buf.storage_mut(), &mut self.views).await
+    }
+}
+
+/// A body being read: one view while each piece continues the last in
+/// one buffer, else one buffer allocated at the body's declared length.
+enum Assembly {
+    /// The pieces so far, joined into one view (empty before the first).
+    Joined(Bytes),
+    /// The pieces so far, copied.
+    Copied(BytesMut),
+}
+
+impl Assembly {
+    fn len(&self) -> usize {
+        match self {
+            Assembly::Joined(view) => view.len(),
+            Assembly::Copied(out) => out.len(),
+        }
+    }
+
+    /// Append a view: joined by reference when it continues the body's
+    /// one view, else copied. An empty view is dropped, so a body holds
+    /// no buffer it has no byte of.
+    fn push_view(&mut self, view: Bytes, len: usize) {
+        if view.is_empty() {
+            return;
+        }
+        if let Assembly::Joined(joined) = self {
+            if joined.is_empty() {
+                *joined = view;
+                return;
+            }
+            if joined.try_join(&view) {
+                return;
+            }
+        }
+        self.push_copied(&view, len);
+    }
+
+    /// Append copied bytes. The first non-empty ones fall back to one
+    /// buffer of the declared length `len`, holding what was joined.
+    fn push_copied(&mut self, bytes: &[u8], len: usize) {
+        if bytes.is_empty() {
+            return;
+        }
+        if let Assembly::Joined(joined) = self {
+            let mut out = BytesMut::with_capacity(len);
+            out.extend_from_slice(joined);
+            *self = Assembly::Copied(out);
+        }
+        if let Assembly::Copied(out) = self {
+            out.extend_from_slice(bytes);
+        }
+    }
+
+    fn into_bytes(self) -> Bytes {
+        match self {
+            Assembly::Joined(view) => view,
+            Assembly::Copied(out) => out.freeze(),
         }
     }
 }
@@ -562,6 +687,17 @@ fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers, Ht
         headers.add(name.trim(), value.trim());
     }
     Ok(headers)
+}
+
+/// One shared read of at most `max` bytes from `io`: its leading copied
+/// bytes are appended to `copied`, and its views to `views`.
+async fn read_shared<R: AsyncRead + Unpin>(
+    io: &mut R,
+    max: usize,
+    copied: &mut Vec<u8>,
+    views: &mut Vec<Bytes>,
+) -> std::io::Result<usize> {
+    std::future::poll_fn(|cx| Pin::new(&mut *io).poll_read_shared(cx, max, copied, views)).await
 }
 
 /// Write the whole of `head`, then of `body` by reference, each call a
@@ -598,6 +734,8 @@ async fn write_all_shared<W: AsyncWrite + Unpin>(
 #[cfg(test)]
 mod tests {
     use std::task::{Context, Poll};
+
+    use tokio::io::AsyncReadExt;
 
     use super::*;
 
@@ -863,8 +1001,8 @@ mod tests {
         assert_eq!(&b.body[..], b"second");
     }
 
-    /// A transport whose reads record the window each poll is offered;
-    /// its writes are discarded.
+    /// A transport whose reads record the window each poll is offered,
+    /// plain and shared alike; its writes are discarded.
     struct WindowLog<T> {
         io: T,
         windows: Vec<usize>,
@@ -878,6 +1016,17 @@ mod tests {
         ) -> Poll<std::io::Result<()>> {
             self.windows.push(buf.remaining());
             Pin::new(&mut self.io).poll_read(cx, buf)
+        }
+
+        fn poll_read_shared(
+            mut self: Pin<&mut Self>,
+            cx: &mut Context<'_>,
+            max: usize,
+            copied: &mut Vec<u8>,
+            out: &mut Vec<Bytes>,
+        ) -> Poll<std::io::Result<usize>> {
+            self.windows.push(max);
+            Pin::new(&mut self.io).poll_read_shared(cx, max, copied, out)
         }
     }
 
@@ -901,16 +1050,38 @@ mod tests {
     async fn a_large_body_is_read_through_64_kib_windows() {
         // The window rule is part of the model (`read_window`): every
         // read is offered 8 to 64 KiB, and a body with more than 64 KiB
-        // left is read through the full 64 KiB window.
+        // left is read through the full 64 KiB window. The body crosses
+        // the pipe by reference, so its reads are shared reads, and it
+        // comes back as a view of the writer's buffer.
         let (client, server) = tokio::io::duplex(256 * 1024);
         let body = Bytes::from((0..200_000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
         let mut c = HttpStream::new(client);
         c.write_response(&Response::ok("video/mp2t", body.clone())).await.unwrap();
         drop(c);
         let mut s = HttpStream::new(WindowLog { io: server, windows: Vec::new() });
-        assert_eq!(s.read_response().await.unwrap().body, body);
+        let got = s.read_response().await.unwrap().body;
+        assert_eq!(got, body);
+        assert_eq!(got.as_ptr(), body.as_ptr(), "the body was copied");
         let windows = &s.get_mut().windows;
         assert!(windows.iter().all(|w| (8_192..=65_536).contains(w)), "windows {windows:?}");
         assert!(windows.contains(&65_536), "windows {windows:?}");
+    }
+
+    #[tokio::test]
+    async fn a_head_written_by_reference_is_copied_in_whole() {
+        // Two responses shared as one view: the head reads find no
+        // blank line among copied bytes, so they copy the views in, and
+        // each body is then read out of the read buffer.
+        let (mut client, server) = tokio::io::duplex(64 * 1024);
+        let wire = Bytes::from_static(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirstHTTP/1.1 200 OK\r\n\r\n",
+        );
+        write_all_shared(&mut client, &[], &wire).await.unwrap();
+        drop(client);
+        let mut s = HttpStream::new(server);
+        assert_eq!(&s.read_response().await.unwrap().body[..], b"first");
+        let second = s.read_response().await.unwrap();
+        assert_eq!((second.status, second.body.len()), (200, 0));
+        assert!(matches!(s.read_response().await, Err(HttpError::UnexpectedEof)));
     }
 }

@@ -9,8 +9,11 @@
 //! the body pipe both keep cursors across partial reads, so the
 //! encoder's output is chopped into scripted fragments — down to
 //! single bytes — that deliberately split the `\r\n\r\n` terminator
-//! and the header lines.
+//! and the header lines. The same cuts are served once as copied bytes
+//! and once with the body as views of the writer's buffer, as a pipe
+//! serves a body written by reference.
 
+use std::ops::Range;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
@@ -22,17 +25,36 @@ use threegol_http::{HttpError, MAX_HEADER_BYTES};
 use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
 
 /// Serves scripted bytes with scripted read-boundary sizes, then EOF.
-/// The write half discards (the decoder under test never writes).
+/// A plain read copies its bytes; a shared read serves the bytes in
+/// `shared` as views of the one `Bytes` it serves from, and the rest
+/// as copied bytes, under the same cuts. The write half discards (the
+/// decoder under test never writes).
 struct ChoppedIo {
-    data: Vec<u8>,
+    data: Bytes,
+    shared: Range<usize>,
     pos: usize,
     cuts: Vec<usize>,
     next_cut: usize,
 }
 
 impl ChoppedIo {
-    fn new(data: Vec<u8>, cuts: Vec<usize>) -> ChoppedIo {
-        ChoppedIo { data, pos: 0, cuts, next_cut: 0 }
+    fn new(data: impl Into<Bytes>, cuts: Vec<usize>) -> ChoppedIo {
+        ChoppedIo { data: data.into(), shared: 0..0, pos: 0, cuts, next_cut: 0 }
+    }
+
+    /// Serve the bytes in `shared` by reference to shared reads.
+    fn sharing(self, shared: Range<usize>) -> ChoppedIo {
+        ChoppedIo { shared, ..self }
+    }
+
+    /// The bytes of the next read: up to the next cut, at most `max`.
+    fn next_read(&mut self, max: usize) -> Range<usize> {
+        let cut = self.cuts[self.next_cut % self.cuts.len()].max(1);
+        self.next_cut += 1;
+        let end = self.pos + cut.min(self.data.len() - self.pos).min(max);
+        let read = self.pos..end;
+        self.pos = end;
+        read
     }
 }
 
@@ -43,15 +65,39 @@ impl AsyncRead for ChoppedIo {
         buf: &mut ReadBuf<'_>,
     ) -> Poll<std::io::Result<()>> {
         let this = &mut *self;
-        if this.pos >= this.data.len() {
-            return Poll::Ready(Ok(())); // EOF
+        if this.pos < this.data.len() {
+            let read = this.next_read(buf.remaining());
+            buf.put_slice(&this.data[read]);
         }
-        let cut = this.cuts[this.next_cut % this.cuts.len()].max(1);
-        this.next_cut += 1;
-        let n = cut.min(this.data.len() - this.pos).min(buf.remaining());
-        buf.put_slice(&this.data[this.pos..this.pos + n]);
-        this.pos += n;
-        Poll::Ready(Ok(()))
+        Poll::Ready(Ok(())) // nothing put: EOF
+    }
+
+    fn poll_read_shared(
+        mut self: Pin<&mut Self>,
+        _cx: &mut Context<'_>,
+        max: usize,
+        copied: &mut Vec<u8>,
+        out: &mut Vec<Bytes>,
+    ) -> Poll<std::io::Result<usize>> {
+        let this = &mut *self;
+        if this.pos >= this.data.len() {
+            return Poll::Ready(Ok(0)); // EOF
+        }
+        let read = this.next_read(max);
+        // Copied bytes before the shared region, views in it, and a
+        // fresh view of the copied bytes after it.
+        let start = this.shared.start.clamp(read.start, read.end);
+        let end = this.shared.end.clamp(read.start, read.end);
+        copied.extend_from_slice(&this.data[read.start..start]);
+        if start < end {
+            out.push(this.data.slice(start..end));
+            if end < read.end {
+                out.push(Bytes::copy_from_slice(&this.data[end..read.end]));
+            }
+        } else {
+            copied.extend_from_slice(&this.data[end..read.end]);
+        }
+        Poll::Ready(Ok(read.len()))
     }
 }
 
@@ -125,7 +171,10 @@ proptest! {
     /// message pipelined right behind the body intact. Bodies run past
     /// 16 KiB, so `read_body` meets both its direct reads of 8 KiB or
     /// more into the body and its short final read, which can pull in
-    /// the next message.
+    /// the next message. Each path runs twice under the same cuts:
+    /// once with every byte copied, and once with the body served as
+    /// views of the wire's buffer, which `read_body` must join into a
+    /// view of that buffer.
     #[test]
     fn all_paths_recover_the_exact_body(
         headers in header_strategy(),
@@ -133,45 +182,57 @@ proptest! {
         next in proptest::collection::vec(any::<u8>(), 0..64),
         cuts in proptest::collection::vec(cut_strategy(), 1..8),
     ) {
-        let mut wire = encode(&headers, &body);
+        let first = encode(&headers, &body);
+        let at = first.len() - body.len();
+        let mut wire = first;
         wire.extend_from_slice(&encode(&[], &next));
+        let wire = Bytes::from(wire);
 
-        // Buffered path.
-        let (got, second) = tokio::runtime::block_on(async {
-            let mut http = HttpStream::new(ChoppedIo::new(wire.clone(), cuts.clone()));
-            let got = http.read_response().await?;
-            Ok::<_, HttpError>((got, http.read_response().await?))
-        }).unwrap();
-        prop_assert_eq!(got.status, 200);
-        prop_assert_eq!(&got.body[..], &body[..]);
-        for (name, value) in &headers {
-            prop_assert_eq!(got.headers.get(name), Some(value.as_str()));
+        for shared in [0..0, at..at + body.len()] {
+            let io = || ChoppedIo::new(wire.clone(), cuts.clone()).sharing(shared.clone());
+            // A body served as views comes back as a view of the wire.
+            let by_reference = |got: &Bytes| shared.is_empty() || got.as_ptr() == wire[at..].as_ptr();
+
+            // Buffered path.
+            let (got, second) = tokio::runtime::block_on(async {
+                let mut http = HttpStream::new(io());
+                let got = http.read_response().await?;
+                Ok::<_, HttpError>((got, http.read_response().await?))
+            }).unwrap();
+            prop_assert_eq!(got.status, 200);
+            prop_assert_eq!(&got.body[..], &body[..]);
+            prop_assert!(by_reference(&got.body), "the body was copied ({shared:?})");
+            for (name, value) in &headers {
+                prop_assert_eq!(got.headers.get(name), Some(value.as_str()));
+            }
+            prop_assert_eq!(&second.body[..], &next[..]);
+
+            // Streaming path, materialized.
+            let (bytes, second) = tokio::runtime::block_on(async {
+                let mut http = HttpStream::new(io());
+                let (head, b) = http.read_response_head().await?;
+                assert_eq!(head.status, 200);
+                let framed = matches!(b, Body::Stream(BodyFraming::Length(n)) if n == body.len());
+                assert!(framed, "{b:?}");
+                let bytes = http.read_body(b).await?;
+                Ok::<_, HttpError>((bytes, http.read_response().await?))
+            }).unwrap();
+            prop_assert_eq!(&bytes[..], &body[..]);
+            prop_assert!(by_reference(&bytes), "the body was copied ({shared:?})");
+            prop_assert_eq!(&second.body[..], &next[..]);
+
+            // Streaming path, piped into a sink.
+            let (piped, count, second) = tokio::runtime::block_on(async {
+                let mut http = HttpStream::new(io());
+                let (_, b) = http.read_response_head().await?;
+                let mut sink: Vec<u8> = Vec::new();
+                let n = http.pipe_body(b, &mut sink).await?;
+                Ok::<_, HttpError>((sink, n, http.read_response().await?))
+            }).unwrap();
+            prop_assert_eq!(&piped[..], &body[..]);
+            prop_assert_eq!(count, body.len() as u64);
+            prop_assert_eq!(&second.body[..], &next[..]);
         }
-        prop_assert_eq!(&second.body[..], &next[..]);
-
-        // Streaming path, materialized.
-        let (bytes, second) = tokio::runtime::block_on(async {
-            let mut http = HttpStream::new(ChoppedIo::new(wire.clone(), cuts.clone()));
-            let (head, b) = http.read_response_head().await?;
-            assert_eq!(head.status, 200);
-            assert!(matches!(b, Body::Stream(BodyFraming::Length(n)) if n == body.len()), "{b:?}");
-            let bytes = http.read_body(b).await?;
-            Ok::<_, HttpError>((bytes, http.read_response().await?))
-        }).unwrap();
-        prop_assert_eq!(&bytes[..], &body[..]);
-        prop_assert_eq!(&second.body[..], &next[..]);
-
-        // Streaming path, piped into a sink.
-        let (piped, count, second) = tokio::runtime::block_on(async {
-            let mut http = HttpStream::new(ChoppedIo::new(wire.clone(), cuts.clone()));
-            let (_, b) = http.read_response_head().await?;
-            let mut sink: Vec<u8> = Vec::new();
-            let n = http.pipe_body(b, &mut sink).await?;
-            Ok::<_, HttpError>((sink, n, http.read_response().await?))
-        }).unwrap();
-        prop_assert_eq!(&piped[..], &body[..]);
-        prop_assert_eq!(count, body.len() as u64);
-        prop_assert_eq!(&second.body[..], &next[..]);
     }
 
     /// A `Transfer-Encoding` header is refused wherever it sits in a
@@ -224,7 +285,6 @@ proptest! {
         }).unwrap().unwrap();
         prop_assert_eq!(got.method, "POST");
         prop_assert_eq!(&got.body[..], &body[..]);
-        let _ = Bytes::from(body); // keep the Bytes import honest
     }
 }
 

@@ -391,9 +391,10 @@ impl<T: AsyncRead + Unpin> AsyncRead for CountingStream<T> {
         mut self: Pin<&mut Self>,
         cx: &mut Context<'_>,
         max: usize,
+        copied: &mut Vec<u8>,
         out: &mut Vec<Bytes>,
     ) -> Poll<std::io::Result<usize>> {
-        let res = Pin::new(&mut self.inner).poll_read_shared(cx, max, out);
+        let res = Pin::new(&mut self.inner).poll_read_shared(cx, max, copied, out);
         if let Poll::Ready(Ok(n)) = res {
             self.counter.fetch_add(n as u64, Ordering::Relaxed);
         }

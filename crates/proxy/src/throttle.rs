@@ -332,11 +332,14 @@ impl<T: AsyncRead + Unpin> AsyncRead for ThrottledStream<T> {
         self: Pin<&mut Self>,
         cx: &mut Context<'_>,
         max: usize,
+        copied: &mut Vec<u8>,
         out: &mut Vec<Bytes>,
     ) -> Poll<std::io::Result<usize>> {
         let this = self.get_mut();
         let allowed = ready!(this.read.poll_tokens(cx, max));
-        Pin::new(&mut this.inner).poll_read_shared(cx, allowed, out).map_ok(|n| this.read.draw(n))
+        Pin::new(&mut this.inner)
+            .poll_read_shared(cx, allowed, copied, out)
+            .map_ok(|n| this.read.draw(n))
     }
 }
 

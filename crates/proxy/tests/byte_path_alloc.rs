@@ -1,13 +1,13 @@
 //! Pins the allocations of the live byte path. Every byte a home reads
-//! should land once: a read appends into spare capacity, a
-//! materialized body is allocated once at its declared length, a body
-//! crosses the virtual net by reference, and a virtual TCP
-//! connection's two 64 KiB pipe rings come from the thread's free
-//! list. So once a runtime is warm, a paper home's only allocations of
-//! 64 KiB or more are the bodies a consumer holds and the multipart
-//! encodes, each made once at its final size; a small response on a
-//! kept-alive connection allocates no read buffer; and a phone relays
-//! a body without allocating for it.
+//! should land once: a read appends into spare capacity, a body
+//! crosses the virtual net by reference and is read by reference, as a
+//! view of its writer's buffer, and a virtual TCP connection's two
+//! 64 KiB pipe rings come from the thread's free list. So once a
+//! runtime is warm, a paper home's only allocations of 64 KiB or more
+//! are the uploader's multipart encodes, each made once at its final
+//! size; a small response on a kept-alive connection allocates no read
+//! buffer; and neither the phone that relays a body nor the client
+//! that holds it allocates for it.
 //!
 //! A counting global allocator wraps `System` and, while armed, logs
 //! every allocation and reallocation of at least the armed size.
@@ -105,17 +105,17 @@ fn warm_paper_home_allocates_each_large_buffer_once() {
     assert!(reallocs.is_empty(), "reallocations of 64 KiB or more: {reallocs:?}");
     let rings = large.iter().filter(|&&(size, _)| size == 64 * 1024).count();
     assert_eq!(rings, 0, "fresh 64 KiB pipe rings");
-    // The rest are bodies, each allocated once at its length: 100 kB
-    // HLS segments (2 s at 400 kbit/s) as the client's fetches
-    // materialize them for the HLS proxy's cache, duplicates included
-    // (the player counts each segment through a sink), and the photo
-    // POSTs (a 100 kB photo plus 160 bytes of multipart framing) as
-    // the uploader encodes them and the origin reads them.
+    // The rest are the photo POSTs (a 100 kB photo plus 160 bytes of
+    // multipart framing), each allocated once at its length as the
+    // uploader encodes it. No body a reader holds is allocated: the
+    // 100 kB HLS segments (2 s at 400 kbit/s) the client's fetches
+    // hand the HLS proxy's cache and the POSTs the origin reads are
+    // views of the buffers their writers shared.
     let segment = (spec.video_bps * spec.segment_secs / 8.0) as usize;
     let photo_post = spec.photo_bytes + 160;
     let count = |len: usize| large.iter().filter(|&&(size, _)| size == len).count();
-    assert_eq!((count(segment), count(photo_post)), (7, 10), "{large:?}");
-    assert_eq!(large.len(), 17, "other large allocations: {large:?}");
+    assert_eq!((count(segment), count(photo_post)), (0, 5), "{large:?}");
+    assert_eq!(large.len(), 5, "other large allocations: {large:?}");
 
     // A 300-byte response on a kept-alive connection reads into the
     // buffer the stream kept from the previous message.
@@ -138,9 +138,9 @@ fn warm_paper_home_allocates_each_large_buffer_once() {
 
     // An unthrottled phone relays kept-alive 100 kB GETs. Once the
     // connection is warm, a request allocates only what its heads
-    // parse into at each hop, the origin's response and the body the
-    // client materializes: the relay forwards the body's views and
-    // allocates nothing for them.
+    // parse into at each hop and the origin's response: the relay
+    // forwards the body's views and the client reads them back as one
+    // view of the origin's asset, so nothing is allocated for the body.
     rt.reset();
     let per_request = rt.block_on(async {
         let ladder = [VideoQuality::new("Q1", 400e3)];
@@ -167,6 +167,6 @@ fn warm_paper_home_allocates_each_large_buffer_once() {
     });
     for log in &per_request {
         let sizes: Vec<usize> = log.iter().map(|&(size, _)| size).collect();
-        assert_eq!(log.len(), 27, "allocations of one relayed GET: {sizes:?}");
+        assert_eq!(log.len(), 25, "allocations of one relayed GET: {sizes:?}");
     }
 }
